@@ -12,6 +12,9 @@
 // parsed by BenchOptions; the flows run as sweep cells, in parallel
 // when more than one worker is available and no trace/JSON observer
 // forces them onto one serial group.
+//
+// Exit status: 0 on success, 1 when an output file cannot be written,
+// 2 on a bad flag or a malformed --edge-list / --features file.
 #include <fstream>
 #include <iostream>
 #include <memory>
@@ -20,6 +23,7 @@
 #include <string>
 #include <vector>
 
+#include "common/check.hpp"
 #include "common/flags.hpp"
 #include "common/version.hpp"
 #include "core/report.hpp"
@@ -178,14 +182,22 @@ int main(int argc, char** argv) {
     EdgeListOptions options;
     options.symmetrize = true;
     options.drop_self_loops = true;
-    workload.adjacency = load_edge_list_file(edge_list, options);
+    // Bad input files exit 2 like bad flags, naming the problem.
+    try {
+      workload.adjacency = load_edge_list_file(edge_list, options);
+      if (!features_path.empty()) {
+        workload.features = load_sparse_matrix_file(features_path);
+      }
+    } catch (const CheckError& e) {
+      std::cerr << "hymm_sim: bad input: " << e.what() << "\n";
+      return 2;
+    }
     workload.spec.name = edge_list;
     workload.spec.abbrev = "custom";
     workload.spec.nodes = workload.adjacency.rows();
     workload.spec.edges = workload.adjacency.nnz();
     workload.spec.layer_dim = 16;
     if (!features_path.empty()) {
-      workload.features = load_sparse_matrix_file(features_path);
       if (workload.features.rows() != workload.adjacency.rows()) {
         std::cerr << "feature rows != graph nodes\n";
         return 2;

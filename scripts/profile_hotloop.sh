@@ -32,12 +32,20 @@
 #                        useful to see what the fast-forward removed
 #
 # Reading the output: sort by exclusive CPU time. The known hot spots
-# and their fixes are catalogued in docs/architecture.md — before the
-# PR that added this script, LoadStoreQueue::tick's retry loop plus
-# DenseMatrixBuffer::read's directory probes dominated RWP/HyMM cells
-# at ~20x the OP engine's per-cycle cost. Sampling profilers
-# undersample short runs; treat the *distribution* as meaningful, not
-# the absolute seconds.
+# and their fixes are catalogued in docs/architecture.md
+# ("Fast-forward and the host-side hot path"). RWP/HyMM cells cost
+# more per simulated cycle than OP cells because their dense-row loads
+# queue behind the DMB's MSHRs; the LSQ retries those loads only on
+# DMB events (the join journal), so a retry that cannot succeed costs
+# no DenseMatrixBuffer::read probe.
+#
+# Sampling profilers can capture far less CPU time than the run used
+# (timer signals get coalesced on some VMs). The script therefore
+# prints the profiled process's own CPU seconds (user + sys, from the
+# shell's child-process times) and, for gprofng and gprof, the
+# profile's sampled total beside them, with a WARNING when the
+# profile covers less than half. Treat an undersampled profile's
+# *distribution* as indicative at best.
 
 set -eu
 
@@ -54,6 +62,41 @@ else
     exit 2
 fi
 
+# Sets cpu_now to the CPU seconds (user + sys) used so far by this
+# shell's finished children. `times` must run in this shell: in a
+# $(...) subshell it would see none of them.
+children_cpu() {
+    times > "$times_file"
+    cpu_now=$(awk 'NR == 2 {
+        n = split($0, f, /[ms ]+/)
+        printf "%.3f", f[1] * 60 + f[2] + f[3] * 60 + f[4]
+    }' "$times_file")
+}
+times_file=$(mktemp)
+trap 'rm -f "$times_file"' EXIT
+
+# Runs "$@" and sets cpu_s to the CPU seconds it used.
+run_timed() {
+    children_cpu
+    cpu_before=$cpu_now
+    "$@"
+    children_cpu
+    cpu_s=$(awk -v a="$cpu_now" -v b="$cpu_before" \
+        'BEGIN { printf "%.2f", a - b }')
+}
+
+# Prints the process CPU beside the profile's sampled total and warns
+# below 50 % coverage.
+report_coverage() {
+    sampled="$1"
+    echo "== coverage: profile sampled ${sampled} s of ${cpu_s} s" \
+         "process CPU"
+    if awk -v s="$sampled" -v c="$cpu_s" 'BEGIN { exit !(s < 0.5 * c) }'; then
+        echo "WARNING: the profile covers less than 50 % of the" \
+             "process's CPU time; it is undersampled" >&2
+    fi
+}
+
 # A profiler "is available" only if it can actually collect here —
 # perf in particular is often installed where perf_event_open is
 # forbidden (containers, perf_event_paranoid), so probe with a real
@@ -66,7 +109,8 @@ perf_works() {
 run_perf() {
     data="${HYMM_PROFILE_DIR:-/tmp/hymm_hotloop.$$.perf.data}"
     echo "== collecting (perf record): $* -> $data" >&2
-    perf record -g -o "$data" -- "$@"
+    run_timed perf record -g -o "$data" -- "$@"
+    echo "== process CPU: ${cpu_s} s"
     echo "== flat profile (exclusive CPU time)"
     perf report --stdio --no-children -i "$data" | head -60
     echo "== hottest call chains"
@@ -79,9 +123,12 @@ run_gprofng() {
     experiment="${HYMM_PROFILE_DIR:-/tmp/hymm_hotloop.$$.er}"
     rm -rf "$experiment"
     echo "== collecting (gprofng): $* -> $experiment" >&2
-    gprofng collect app -o "$experiment" "$@"
+    run_timed gprofng collect app -o "$experiment" "$@"
+    functions=$(gprofng display text -functions "$experiment")
+    report_coverage "$(printf '%s\n' "$functions" |
+        awk '/<Total>/ { print $1; exit }')"
     echo "== flat profile (exclusive CPU time)"
-    gprofng display text -functions "$experiment"
+    printf '%s\n' "$functions"
     echo "== callers/callees of the top frame"
     gprofng display text -callers-callees "$experiment" | head -60
     echo "experiment kept at $experiment (rerun views with:" \
@@ -95,8 +142,8 @@ run_gprof() {
     workdir="${HYMM_PROFILE_DIR:-/tmp/hymm_hotloop.$$.gprof}"
     mkdir -p "$workdir"
     echo "== collecting (gprof): $binary $* -> $workdir/gmon.out" >&2
-    ( cd "$workdir" >/dev/null || exit 2
-      "$binary" "$@" )
+    run_timed sh -c 'cd "$1" && shift && exec "$@"' sh \
+        "$workdir" "$binary" "$@"
     # gprof needs an instrumented binary: an un-instrumented run
     # leaves no gmon.out, which is a configuration error, not a
     # profile of zero samples.
@@ -106,6 +153,9 @@ run_gprof() {
              "(cmake -DCMAKE_CXX_FLAGS=-pg -DCMAKE_EXE_LINKER_FLAGS=-pg)" >&2
         exit 2
     fi
+    # The flat profile's last row carries the cumulative sampled total.
+    report_coverage "$(gprof -b -p "$binary" "$workdir/gmon.out" |
+        awk '$2 ~ /^[0-9.]+$/ { total = $2 } END { print total + 0 }')"
     echo "== flat profile (exclusive CPU time)"
     gprof -b "$binary" "$workdir/gmon.out" | head -80
     echo "profile kept at $workdir/gmon.out (rerun views with:" \

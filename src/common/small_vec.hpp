@@ -34,6 +34,21 @@ class SmallVec {
     return i < N ? inline_[i] : spill_[i - N];
   }
 
+  // Removes one element equal to `v` by moving the last element into
+  // its slot (order is not kept). False when `v` is absent.
+  bool erase_unordered(const T& v) {
+    for (std::size_t i = 0; i < size_; ++i) {
+      if ((*this)[i] != v) continue;
+      slot(i) = (*this)[size_ - 1];
+      if (size_ > N) {
+        spill_.pop_back();
+      }
+      --size_;
+      return true;
+    }
+    return false;
+  }
+
   void clear() {
     spill_.clear();
     size_ = 0;
@@ -58,6 +73,8 @@ class SmallVec {
   const_iterator end() const { return {this, size_}; }
 
  private:
+  T& slot(std::size_t i) { return i < N ? inline_[i] : spill_[i - N]; }
+
   std::array<T, N> inline_{};
   std::vector<T> spill_;
   std::size_t size_ = 0;

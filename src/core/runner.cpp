@@ -115,12 +115,13 @@ ExperimentResult run_experiment(const ExperimentRequest& request) {
         // Conservation invariants of the spatial attribution: the
         // per-lane model retires exactly one array op per busy cycle,
         // every DRAM line lands in a tile or the residual, and every
-        // accounted cycle is attributed somewhere.
-        HYMM_DCHECK(r.spatial.array_busy_cycles ==
-                    layer.stats.alu_busy_cycles);
-        HYMM_DCHECK(r.spatial.total_dram_bytes() ==
-                    layer.stats.dram_total_bytes());
-        HYMM_DCHECK(r.spatial.total_cycles() == layer.stats.cycles);
+        // accounted cycle is attributed somewhere. Checked once per
+        // run, so they stay on in Release builds.
+        HYMM_CHECK(r.spatial.array_busy_cycles ==
+                   layer.stats.alu_busy_cycles);
+        HYMM_CHECK(r.spatial.total_dram_bytes() ==
+                   layer.stats.dram_total_bytes());
+        HYMM_CHECK(r.spatial.total_cycles() == layer.stats.cycles);
       }
     }
   }

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <string>
 
@@ -10,6 +11,9 @@
 namespace hymm {
 
 namespace {
+
+// Largest id whose count (id + 1) still fits in NodeId.
+constexpr long long kMaxNodeId = std::numeric_limits<NodeId>::max() - 1;
 
 bool is_comment_or_blank(const std::string& line) {
   for (const char c : line) {
@@ -44,12 +48,19 @@ CsrMatrix load_edge_list(std::istream& in, const EdgeListOptions& options) {
     std::istringstream ls(line);
     long long src = 0, dst = 0;
     double weight = 1.0;
-    HYMM_CHECK_MSG(static_cast<bool>(ls >> src >> dst),
-                   "edge list line " << line_no << " is malformed: '"
-                                     << line << "'");
-    ls >> weight;  // optional third column
+    bool parsed = static_cast<bool>(ls >> src >> dst);
+    // Optional third column; anything after it is malformed too.
+    if (parsed && !(ls >> std::ws).eof()) {
+      parsed = static_cast<bool>(ls >> weight) && (ls >> std::ws).eof();
+    }
+    HYMM_CHECK_MSG(parsed, "edge list line " << line_no << " is malformed: '"
+                                             << line << "'");
     HYMM_CHECK_MSG(src >= 0 && dst >= 0,
                    "edge list line " << line_no << " has negative ids");
+    // The node count (max id + 1) must fit in NodeId too.
+    HYMM_CHECK_MSG(src <= kMaxNodeId && dst <= kMaxNodeId,
+                   "edge list line " << line_no << " has a node id above "
+                                     << kMaxNodeId);
     const auto u = static_cast<NodeId>(src);
     const auto v = static_cast<NodeId>(dst);
     if (options.drop_self_loops && u == v) continue;
@@ -106,8 +117,15 @@ CsrMatrix load_sparse_matrix(std::istream& in) {
     ++line_no;
     if (line.rfind("%%HyMMSparse", 0) == 0) {
       std::istringstream hs(line.substr(12));
-      HYMM_CHECK_MSG(static_cast<bool>(hs >> rows >> cols >> nnz),
+      // Signed reads: an unsigned extraction would wrap "-1".
+      long long r = 0, c = 0, n = 0;
+      HYMM_CHECK_MSG(static_cast<bool>(hs >> r >> c >> n) && r >= 0 &&
+                         c >= 0 && n >= 0 && r <= kMaxNodeId + 1 &&
+                         c <= kMaxNodeId + 1,
                      "bad %%HyMMSparse header: '" << line << "'");
+      rows = static_cast<NodeId>(r);
+      cols = static_cast<NodeId>(c);
+      nnz = static_cast<EdgeCount>(n);
       have_header = true;
       break;
     }
@@ -128,6 +146,10 @@ CsrMatrix load_sparse_matrix(std::istream& in) {
                    "sparse matrix line " << line_no << " is malformed: '"
                                          << line << "'");
     HYMM_CHECK_MSG(r >= 0 && c >= 0, "negative index at line " << line_no);
+    HYMM_CHECK_MSG(r < static_cast<long long>(rows) &&
+                       c < static_cast<long long>(cols),
+                   "index outside the " << rows << " x " << cols
+                                        << " shape at line " << line_no);
     coo.add(static_cast<NodeId>(r), static_cast<NodeId>(c),
             static_cast<Value>(v));
     ++seen;

@@ -79,9 +79,7 @@ DenseMatrixBuffer::ReadResult DenseMatrixBuffer::read(Addr line,
 
 DenseMatrixBuffer::ReadResult DenseMatrixBuffer::read_absent(
     Addr line, TrafficClass cls, std::uint64_t waiter_tag, Cycle now) {
-  if (mshrs_.size() >= mshr_capacity_ || !dram_.can_accept_read()) {
-    return ReadResult::kReject;
-  }
+  if (!can_allocate_miss()) return ReadResult::kReject;
 
   ++stats_.dmb_read_misses;
   HYMM_OBS(obs_, on_dmb_miss());
@@ -90,7 +88,7 @@ DenseMatrixBuffer::ReadResult DenseMatrixBuffer::read_absent(
   mshr.alloc_cycle = now;
   mshr.waiters.push_back(waiter_tag);
   mshrs_.emplace(line, std::move(mshr));
-  ++membership_epoch_;
+  note_join(line);
   dram_.issue_read(line, cls, dram_tag_for(line), now);
   return ReadResult::kMiss;
 }
@@ -154,7 +152,7 @@ bool DenseMatrixBuffer::evict_one(Cycle now, bool ignore_write_bp) {
 
 bool DenseMatrixBuffer::write_allocate(Addr line, TrafficClass cls,
                                        Cycle now) {
-  ++membership_epoch_;
+  note_join(line);
   return install(line, cls, /*dirty=*/true, now);
 }
 
@@ -166,7 +164,7 @@ bool DenseMatrixBuffer::write_through(Addr line, TrafficClass cls,
 }
 
 bool DenseMatrixBuffer::accumulate(Addr line, Cycle now) {
-  ++membership_epoch_;
+  note_join(line);
   if (LineState* state = lines_.find(line)) {
     HYMM_DCHECK(state->cls == TrafficClass::kPartial);
     ++stats_.dmb_accumulate_hits;
@@ -197,7 +195,7 @@ bool DenseMatrixBuffer::prefetch(Addr line, TrafficClass cls, Cycle now) {
   // Prefetches ride the same headroom window as writes so a saturated
   // channel throttles them before they starve demand traffic.
   if (!dram_.can_accept_write(now)) return false;
-  ++membership_epoch_;
+  note_join(line);
   dram_.issue_streaming_read(cls, now);
   HYMM_OBS(obs_, on_dmb_prefetch());
   const Cycle ready = now + dram_latency_;
@@ -228,7 +226,7 @@ void DenseMatrixBuffer::demote_class(TrafficClass cls) {
 
 bool DenseMatrixBuffer::pin_partial(Addr line, Cycle now) {
   if (pinned_count_ >= capacity_lines_) return false;
-  ++membership_epoch_;
+  note_join(line);
   // Pinning happens at phase start and must not fail on transient
   // write back-pressure: the evicted combination lines book their
   // writeback bandwidth and the phase simply starts later.
@@ -293,7 +291,6 @@ void DenseMatrixBuffer::flush_dirty(Cycle now) {
 
 void DenseMatrixBuffer::reset_contents() {
   HYMM_CHECK_MSG(pinned_count_ == 0, "unpin before resetting the DMB");
-  ++membership_epoch_;
   lines_.clear();
   data_lru_.clear();
   partial_lru_.clear();
@@ -344,7 +341,7 @@ void DenseMatrixBuffer::tick(Cycle now) {
 }
 
 void DenseMatrixBuffer::save_state(StateWriter& w) const {
-  w.put_u64(membership_epoch_);
+  w.put_u64(join_epoch());
   // Each resident line lives in exactly one recency tier; serializing
   // both tiers cold-to-hot captures the directory and the exact
   // eviction order in one pass.
@@ -403,7 +400,9 @@ void DenseMatrixBuffer::load_state(StateReader& r) {
   pinned_count_ = 0;
   tick_active_ = false;
 
-  membership_epoch_ = r.get_u64();
+  journal_floor_ = r.get_u64();
+  joins_.clear();
+  listing_joins_ = false;
   for (LruList<Addr>* list : {&data_lru_, &partial_lru_}) {
     const std::uint64_t count = r.get_u64();
     for (std::uint64_t i = 0; i < count; ++i) {

@@ -11,8 +11,10 @@
 
 #include <cstdint>
 #include <deque>
+#include <span>
 #include <vector>
 
+#include "common/check.hpp"
 #include "common/config.hpp"
 #include "common/flat_map.hpp"
 #include "common/lru_list.hpp"
@@ -55,23 +57,55 @@ class DenseMatrixBuffer {
   ReadResult read(Addr line, TrafficClass cls, std::uint64_t waiter_tag,
                   Cycle now);
 
-  // Retry fast path for a line the caller has proven absent from all
-  // three directories (lines_, prefetch_inflight_, mshrs_): skips the
+  // True when a read of a line absent from every directory would
+  // allocate an MSHR right now (a free MSHR and a DRAM read-queue
+  // slot); false means such a read is rejected. Only MSHR allocations
+  // and DRAM reads change it within a cycle, and both only consume.
+  bool can_allocate_miss() const {
+    return mshrs_.size() < mshr_capacity_ && dram_.can_accept_read();
+  }
+
+  // read() for a line the caller has proven absent from all three
+  // directories (lines_, prefetch_inflight_, mshrs_): skips the
   // membership probes and goes straight to the miss/reject decision,
-  // with outcomes and side effects identical to read(). Valid only
-  // while membership_epoch() still equals the value observed when the
-  // line's absence was established (a read() returning kReject proves
-  // absence).
+  // with outcomes and side effects identical to read(). Valid while
+  // no join-journal entry after the proof names the line.
   ReadResult read_absent(Addr line, TrafficClass cls,
                          std::uint64_t waiter_tag, Cycle now);
 
-  // Bumped whenever a line can join a directory: an MSHR allocation,
-  // a fresh install from the engine side (write-allocate, accumulate,
-  // pin), or a prefetch issue. MSHR-fill installs do NOT bump: a fill
-  // only installs a line that was in the MSHR table, and every entry
-  // into that table bumps the epoch itself — so a line proven absent
-  // under an unchanged epoch is still absent.
-  std::uint64_t membership_epoch() const { return membership_epoch_; }
+  // Join journal. Every call that can add a line to a directory — an
+  // MSHR allocation, write_allocate, accumulate, pin_partial or a
+  // prefetch issue — advances join_epoch() by one, whether or not the
+  // line was already present. Nothing else can make an absent line
+  // present: fills install lines that were already in the MSHR file,
+  // and evictions and reset_contents only remove lines. So a line
+  // proven absent at epoch e (a read() returning kReject proves it)
+  // stays absent while no join after e names it. While listing is on,
+  // the journal names the line of every join after journal_floor().
+  // Its consumer, the LSQ, resets it after reading it each tick and
+  // keeps listing on only while it holds absence proofs, so a buffer
+  // without a consumer never lists anything. While listing is off,
+  // and right after a checkpoint restore (the joins before the
+  // restored epoch are not saved), the floor is join_epoch().
+  std::uint64_t join_epoch() const { return journal_floor_ + joins_.size(); }
+  std::uint64_t journal_floor() const { return journal_floor_; }
+
+  // Lines joined after `epoch`, oldest first. Requires
+  // journal_floor() <= epoch <= join_epoch().
+  std::span<const Addr> joins_since(std::uint64_t epoch) const {
+    HYMM_DCHECK(epoch >= journal_floor_ && epoch <= join_epoch());
+    return std::span<const Addr>(joins_).subspan(epoch - journal_floor_);
+  }
+
+  bool listing_joins() const { return listing_joins_; }
+
+  // Forgets every listed join (the floor becomes join_epoch()) and
+  // turns listing on or off for the joins that follow.
+  void reset_journal(bool listing) {
+    journal_floor_ = join_epoch();
+    joins_.clear();
+    listing_joins_ = listing;
+  }
 
   // Streaming prefetch for sequential access patterns (the OP
   // engines' stationary-row stream): books DRAM bandwidth without an
@@ -214,7 +248,18 @@ class DenseMatrixBuffer {
   std::size_t pinned_count_ = 0;
 
   FlatMap<Mshr> mshrs_;
-  std::uint64_t membership_epoch_ = 0;
+  // Join journal (see join_epoch()): joins_[k] joined at epoch
+  // journal_floor_ + k + 1.
+  void note_join(Addr line) {
+    if (listing_joins_) {
+      joins_.push_back(line);
+    } else {
+      ++journal_floor_;
+    }
+  }
+  std::vector<Addr> joins_;
+  std::uint64_t journal_floor_ = 0;
+  bool listing_joins_ = false;
   std::deque<PendingHit> pending_hits_;
   std::vector<std::uint64_t> ready_waiters_;
   bool tick_active_ = false;

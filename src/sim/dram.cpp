@@ -41,10 +41,6 @@ bool Dram::can_accept_write(Cycle now) const {
   return next_slot_ <= now + write_buffer_window_;
 }
 
-bool Dram::can_accept_read() const {
-  return inflight_.size() < queue_entries_;
-}
-
 Cycle Dram::reserve_slot(Cycle now) {
   const Cycle slot = std::max(now, next_slot_);
   next_slot_ = slot + cycles_per_line_;

@@ -34,7 +34,7 @@ class Dram {
   void set_observer(Observer* obs) { obs_ = obs; }
 
   // True when the read queue has room for another in-flight request.
-  bool can_accept_read() const;
+  bool can_accept_read() const { return inflight_.size() < queue_entries_; }
 
   // True when the channel is not booked more than the write-buffer
   // depth ahead of `now`. Writers must check this before issuing;

@@ -12,6 +12,7 @@
 
 #include "common/config.hpp"
 #include "common/flat_map.hpp"
+#include "common/small_vec.hpp"
 #include "sim/dmb.hpp"
 #include "sim/stats.hpp"
 
@@ -77,6 +78,17 @@ class LoadStoreQueue {
 
   // Progress: collect DMB readiness, retry rejected loads, drain one
   // store. Call once per cycle after DenseMatrixBuffer::tick().
+  //
+  // Retries are event-driven but behave as if every parked load were
+  // re-read in id order each tick. A rejected load carries a proof
+  // that its line is absent from the DMB; the DMB's join journal
+  // (DenseMatrixBuffer::join_epoch) names every line that may have
+  // joined a directory since, and only those loads and never-retried
+  // ones are read again. Proven-absent loads are read only while the
+  // DMB can allocate a miss. Each load still parked after the step
+  // counts as one reject for the `lsq.load_rejects` observer counter,
+  // so the counter depends on which cycles are ticked (fast-forward
+  // mode), not on how the retry is implemented.
   void tick(Cycle now);
 
   // True when the last tick() changed observable state (marked a load
@@ -114,22 +126,62 @@ class LoadStoreQueue {
   std::size_t capacity_;
   bool forwarding_;
 
-  // Retry descriptor: carries the line/class so a rejected retry
-  // costs zero load_entries_ probes (the entry is only touched on
-  // acceptance), plus the DMB membership epoch under which the line
-  // was last proven absent from every directory — while it still
-  // matches, the retry takes DenseMatrixBuffer::read_absent and
-  // skips the probes too.
-  struct UnissuedLoad {
+  // A load the DMB has not accepted yet. parked_ holds them in
+  // allocation (id) order — the order retries reach the DMB, which
+  // fixes hit order and so LRU recency. An accepted load stays behind
+  // as a tombstone until the next compaction.
+  struct ParkedLoad {
     EntryId id = 0;
     Addr line = 0;
     TrafficClass cls = TrafficClass::kCombined;
-    std::uint64_t absent_epoch = ~std::uint64_t{0};
+    // True when no valid absence proof covers `line`: the load has
+    // never been retried, or its line joined a DMB directory since its
+    // last reject. Such a load needs a full DenseMatrixBuffer::read()
+    // and may hit; any other parked load is rejected for as long as
+    // the DMB cannot allocate a miss.
+    bool probe = true;
+    bool accepted = false;
   };
+
+  // Out-of-line parts of the retry step (tick step 2): reads after a
+  // reject, journal restart, and bookkeeping for loads left parked.
+  void retry_probes_after_reject(Cycle now);
+  void restart_journal();
+  void finish_with_parked_loads();
+  // Applies the DMB join journal since seen_epoch_: flags every parked
+  // load whose line joined a directory.
+  void note_joins();
+  void flag_joined_lines();
+  void flag_probe(ParkedLoad& p);
+  // Full read of a `probe` load once the DMB cannot allocate a miss.
+  void retry_probe(ParkedLoad& p, Cycle now);
+  // Records the absence proof a reject gave p.
+  void note_reject(ParkedLoad& p);
+  ParkedLoad& parked(EntryId id);
+  void accept(ParkedLoad& p);
+  void unindex(const ParkedLoad& p);  // drops p from parked_by_line_
 
   EntryId next_id_ = 1;
   FlatMap<LoadEntry> load_entries_;
-  std::vector<UnissuedLoad> unissued_loads_;
+  std::vector<ParkedLoad> parked_;
+  std::size_t parked_head_ = 0;  // parked_[0, head) are all tombstones
+  std::size_t parked_live_ = 0;
+  // Ids of the parked loads rejected at least once (between ticks,
+  // exactly those older than fresh_from_), by line, for note_joins().
+  // A load that has never been retried needs a full read anyway.
+  FlatMap<SmallVec<EntryId, 2>> parked_by_line_;
+  // Ids of the rejected-before parked loads flagged `probe` since the
+  // last retry step, unsorted (never-retried loads are the tail of
+  // parked_ from fresh_from_ on).
+  std::vector<EntryId> probe_ids_;
+  // Join epoch up to which note_joins() has run (kept while
+  // parked_by_line_ is not empty).
+  std::uint64_t seen_epoch_ = 0;
+  // Every load older than fresh_from_ that is still parked was
+  // rejected by the last retry step, which proved its line absent at
+  // join epoch retry_epoch_. Kept for the checkpoint format.
+  EntryId fresh_from_ = 1;
+  std::uint64_t retry_epoch_ = 0;
   bool tick_active_ = false;
   std::deque<StoreEntry> store_queue_;
   // Store-to-load forwarding window: the last `capacity_` stored

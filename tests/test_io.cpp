@@ -63,6 +63,37 @@ TEST(EdgeList, NegativeIdsRejected) {
   EXPECT_THROW(load_edge_list(in), CheckError);
 }
 
+TEST(EdgeList, IdsBeyondNodeIdRangeRejected) {
+  // 2^32 must not wrap to node 0.
+  std::istringstream wrap("0 1\n1 4294967296\n");
+  EXPECT_THROW(load_edge_list(wrap), CheckError);
+  // 2^32 - 1 fits NodeId, but its node count (id + 1) does not.
+  std::istringstream too_far("4294967295 0\n");
+  EXPECT_THROW(load_edge_list(too_far), CheckError);
+}
+
+TEST(EdgeList, GarbageAfterColumnsRejected) {
+  std::istringstream bad_weight("0 1 heavy\n");
+  EXPECT_THROW(load_edge_list(bad_weight), CheckError);
+  std::istringstream extra("0 1 2.0 3\n");
+  EXPECT_THROW(load_edge_list(extra), CheckError);
+  std::istringstream crlf("0 1 2.5\r\n");
+  EXPECT_FLOAT_EQ(load_edge_list(crlf).row_values(0)[0], 2.5f);
+}
+
+TEST(SparseMatrix, IndexOutsideShapeRejected) {
+  std::istringstream in("%%HyMMSparse 2 2 1\n4294967296 0 1.0\n");
+  EXPECT_THROW(load_sparse_matrix(in), CheckError);
+}
+
+TEST(SparseMatrix, NegativeOrOversizedHeaderRejected) {
+  // Unsigned extraction would read "-1" as 4294967295.
+  std::istringstream negative("%%HyMMSparse -1 2 0\n");
+  EXPECT_THROW(load_sparse_matrix(negative), CheckError);
+  std::istringstream oversized("%%HyMMSparse 2 4294967296 0\n");
+  EXPECT_THROW(load_sparse_matrix(oversized), CheckError);
+}
+
 TEST(EdgeList, DuplicateEdgesMergeWeights) {
   std::istringstream in("0 1 1.0\n0 1 2.0\n");
   const CsrMatrix m = load_edge_list(in);

@@ -2,7 +2,10 @@
 // class-aware eviction, pinning, accumulation and footprint tracking.
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "common/check.hpp"
+#include "sim/checkpoint.hpp"
 #include "sim/dmb.hpp"
 
 namespace hymm {
@@ -314,6 +317,92 @@ TEST(Dmb, FlushDirtyWritesEachDirtyLineOnce) {
   // Second flush: nothing dirty anymore.
   f.dmb->flush_dirty(2);
   EXPECT_EQ(f.stats.dram_total_write_bytes(), 2 * kLineBytes);
+}
+
+std::vector<Addr> joins_after(const DenseMatrixBuffer& dmb,
+                              std::uint64_t epoch) {
+  const auto joins = dmb.joins_since(epoch);
+  return {joins.begin(), joins.end()};
+}
+
+TEST(DmbJournal, ListsEveryKindOfJoinOnce) {
+  Fixture f(/*lines=*/8, /*mshrs=*/2);
+  f.dmb->reset_journal(/*listing=*/true);
+  const std::uint64_t e0 = f.dmb->join_epoch();
+  ASSERT_EQ(f.dmb->read(L(0), TrafficClass::kCombined, 1, 0),
+            DenseMatrixBuffer::ReadResult::kMiss);  // MSHR allocation
+  ASSERT_TRUE(f.dmb->write_allocate(L(1), TrafficClass::kCombined, 0));
+  ASSERT_TRUE(f.dmb->accumulate(L(2), 0));
+  ASSERT_TRUE(f.dmb->pin_partial(L(3), 0));
+  ASSERT_TRUE(f.dmb->prefetch(L(4), TrafficClass::kCombined, 0));
+  EXPECT_EQ(joins_after(*f.dmb, e0),
+            (std::vector<Addr>{L(0), L(1), L(2), L(3), L(4)}));
+  EXPECT_EQ(f.dmb->join_epoch(), e0 + 5);
+
+  // Hits, piggybacks, fills, prefetch installs and evictions add no
+  // line to a directory that was absent from all of them.
+  const std::uint64_t e1 = f.dmb->join_epoch();
+  EXPECT_EQ(f.dmb->read(L(1), TrafficClass::kCombined, 2, 1),
+            DenseMatrixBuffer::ReadResult::kHit);
+  EXPECT_EQ(f.dmb->read(L(0), TrafficClass::kCombined, 3, 1),
+            DenseMatrixBuffer::ReadResult::kMiss);  // piggyback
+  for (Cycle t = 1; t <= 20; ++t) f.step(t);  // the fill and prefetch land
+  EXPECT_TRUE(f.dmb->contains(L(0)));
+  EXPECT_TRUE(f.dmb->contains(L(4)));
+  f.dmb->unpin_and_writeback_outputs(30);
+  f.dmb->reset_contents();
+  EXPECT_EQ(f.dmb->join_epoch(), e1);
+  EXPECT_TRUE(joins_after(*f.dmb, e1).empty());
+}
+
+TEST(DmbJournal, ListingOffCountsJoinsWithoutListingThem) {
+  Fixture f(/*lines=*/8);
+  const std::uint64_t e0 = f.dmb->join_epoch();
+  ASSERT_TRUE(f.dmb->write_allocate(L(0), TrafficClass::kCombined, 0));
+  ASSERT_TRUE(f.dmb->accumulate(L(1), 0));
+  EXPECT_EQ(f.dmb->join_epoch(), e0 + 2);
+  EXPECT_EQ(f.dmb->journal_floor(), f.dmb->join_epoch());
+
+  f.dmb->reset_journal(/*listing=*/true);
+  ASSERT_TRUE(f.dmb->write_allocate(L(2), TrafficClass::kCombined, 0));
+  ASSERT_TRUE(f.dmb->write_allocate(L(3), TrafficClass::kCombined, 0));
+  EXPECT_EQ(joins_after(*f.dmb, e0 + 2), (std::vector<Addr>{L(2), L(3)}));
+  EXPECT_EQ(joins_after(*f.dmb, e0 + 3), (std::vector<Addr>{L(3)}));
+  // A reset forgets what was listed and raises the floor.
+  f.dmb->reset_journal(/*listing=*/false);
+  EXPECT_EQ(f.dmb->journal_floor(), e0 + 4);
+  EXPECT_TRUE(joins_after(*f.dmb, e0 + 4).empty());
+}
+
+TEST(DmbJournal, RestoreSetsTheFloorToTheSavedEpoch) {
+  Fixture f(/*lines=*/8);
+  f.dmb->reset_journal(/*listing=*/true);
+  ASSERT_TRUE(f.dmb->write_allocate(L(0), TrafficClass::kCombined, 0));
+  ASSERT_TRUE(f.dmb->write_allocate(L(1), TrafficClass::kCombined, 0));
+  StateWriter w;
+  f.dmb->save_state(w);
+
+  Fixture g(/*lines=*/8);
+  StateReader r(w.bytes().data(), w.bytes().size());
+  g.dmb->load_state(r);
+  EXPECT_EQ(g.dmb->join_epoch(), f.dmb->join_epoch());
+  // The joins before the restore point are not saved.
+  EXPECT_EQ(g.dmb->journal_floor(), g.dmb->join_epoch());
+  EXPECT_TRUE(joins_after(*g.dmb, g.dmb->journal_floor()).empty());
+}
+
+TEST(Dmb, CanAllocateMissTracksFreeMshrs) {
+  Fixture f(/*lines=*/8, /*mshrs=*/2);
+  EXPECT_TRUE(f.dmb->can_allocate_miss());
+  (void)f.dmb->read(L(0), TrafficClass::kCombined, 1, 0);
+  (void)f.dmb->read(L(1), TrafficClass::kCombined, 2, 0);
+  EXPECT_FALSE(f.dmb->can_allocate_miss());
+  EXPECT_EQ(f.dmb->read_absent(L(2), TrafficClass::kCombined, 3, 0),
+            DenseMatrixBuffer::ReadResult::kReject);
+  f.wait_for(1, 0);
+  EXPECT_TRUE(f.dmb->can_allocate_miss());
+  EXPECT_EQ(f.dmb->read_absent(L(2), TrafficClass::kCombined, 3, 20),
+            DenseMatrixBuffer::ReadResult::kMiss);
 }
 
 }  // namespace
