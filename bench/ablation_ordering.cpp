@@ -50,7 +50,8 @@ int main(int argc, char** argv) {
         x = permute_feature_rows(workload.features, ordering.perm);
       }
       const LayerRunResult r =
-          accelerator.run_layer(Dataflow::kRowWiseProduct, a, x, weights);
+          accelerator.run_layer({.flow = Dataflow::kRowWiseProduct, .a_hat = &a,
+                                 .x = &x, .w = &weights});
       table.add_row({bench::scale_note(
                          DataflowComparison{workload.spec, workload.scale,
                                             {}}),
@@ -62,7 +63,8 @@ int main(int argc, char** argv) {
     }
     // The hybrid for reference (sorts internally).
     const LayerRunResult hymm = accelerator.run_layer(
-        Dataflow::kHybrid, a_hat, workload.features, weights);
+        {.flow = Dataflow::kHybrid, .a_hat = &a_hat, .x = &workload.features,
+         .w = &weights});
     table.add_row({bench::scale_note(
                        DataflowComparison{workload.spec, workload.scale,
                                           {}}),

@@ -45,7 +45,8 @@ int main() {
                                Dataflow::kRowWiseProduct, Dataflow::kHybrid};
     for (int i = 0; i < 3; ++i) {
       cycles[i] =
-          accelerator.run_layer(flows[i], a_hat, features, weights)
+          accelerator.run_layer({.flow = flows[i], .a_hat = &a_hat,
+                                 .x = &features, .w = &weights})
               .stats.cycles;
     }
     int best = 0;

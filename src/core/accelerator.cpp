@@ -83,19 +83,6 @@ Accelerator::Accelerator(const AcceleratorConfig& config) : config_(config) {
   config_.validate();
 }
 
-LayerRunResult Accelerator::run_layer(Dataflow flow, const CsrMatrix& a_hat,
-                                      const CsrMatrix& x,
-                                      const DenseMatrix& w,
-                                      Observer* obs) const {
-  LayerRunRequest request;
-  request.flow = flow;
-  request.a_hat = &a_hat;
-  request.x = &x;
-  request.w = &w;
-  request.observer = obs;
-  return run_layer(request);
-}
-
 LayerRunResult Accelerator::run_layer(const LayerRunRequest& request) const {
   HYMM_CHECK(request.a_hat != nullptr && request.x != nullptr &&
              request.w != nullptr);

@@ -121,12 +121,6 @@ class Accelerator {
   /// Simulates one GCN layer H = a_hat * x * w (no activation).
   LayerRunResult run_layer(const LayerRunRequest& request) const;
 
-  /// Convenience overload for callers without precomputed
-  /// preprocessing (equivalent to filling a LayerRunRequest).
-  LayerRunResult run_layer(Dataflow flow, const CsrMatrix& a_hat,
-                           const CsrMatrix& x, const DenseMatrix& w,
-                           Observer* obs = nullptr) const;
-
  private:
   AcceleratorConfig config_;
 };

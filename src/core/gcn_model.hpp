@@ -77,7 +77,7 @@ class GcnModel {
   struct InferenceRequest {
     Dataflow flow = Dataflow::kRowWiseProduct;  ///< dataflow to simulate
     const CsrMatrix* features = nullptr;        ///< required: input features
-    AcceleratorConfig config;                   ///< hardware parameters
+    AcceleratorConfig config{};                 ///< hardware parameters
     bool verify = true;          ///< compare output against reference()
     Observer* observer = nullptr;            ///< optional; never affects timing
     const DegreeSortResult* sort = nullptr;  ///< optional precomputed sort
@@ -91,13 +91,6 @@ class GcnModel {
   /// request.verify is set, the output is compared against
   /// reference(*request.features).
   InferenceResult run(const InferenceRequest& request) const;
-
-  /// Deprecated positional overload (kept for one PR — new callers
-  /// fill an InferenceRequest); equivalent to a request with only
-  /// flow/features/config/verify set.
-  InferenceResult run(Dataflow flow, const CsrMatrix& features,
-                      const AcceleratorConfig& config,
-                      bool verify = true) const;
 
   /// Host-side golden inference (ReLU between layers, none after the
   /// last).

@@ -5,12 +5,15 @@
 #include <cstdlib>
 #include <exception>
 #include <mutex>
+#include <sstream>
 #include <thread>
 #include <unordered_map>
+#include <unordered_set>
 #include <utility>
 
 #include "common/check.hpp"
 #include "common/flags.hpp"
+#include "graph/fingerprint.hpp"
 
 namespace hymm {
 
@@ -93,6 +96,51 @@ void parallel_for(std::size_t count, unsigned threads,
   if (first_error != nullptr) std::rethrow_exception(first_error);
 }
 
+std::vector<SweepGroup> group_cells(
+    const std::vector<SweepCell>& cells,
+    const std::function<std::string(const SweepCell&)>& group_key) {
+  std::vector<SweepGroup> groups;
+  std::unordered_map<std::string, std::size_t> group_index;
+  for (const SweepCell& cell : cells) {
+    const std::string key = group_key ? group_key(cell)
+                                      : "cell:" + std::to_string(cell.index);
+    const auto [it, inserted] = group_index.emplace(key, groups.size());
+    if (inserted) groups.push_back(SweepGroup{key, {}, nullptr});
+    groups[it->second].cells.push_back(cell.index);
+  }
+  return groups;
+}
+
+std::vector<std::size_t> dispatch_order(const std::vector<SweepCell>& cells,
+                                        const std::vector<SweepGroup>& groups) {
+  // Build class: workload identity x timing config x dataflow. Cells of
+  // one class share a CheckpointKey and a WorkloadCache entry; a missed
+  // sharing only costs wall time, never correctness.
+  const auto build_class = [](const SweepCell& cell) {
+    std::ostringstream key;
+    if (cell.prepared != nullptr) {
+      key << "prepared:" << cell.prepared.get();
+    } else {
+      key << WorkloadCache::key_of(cell.spec, cell.scale, cell.seed);
+    }
+    key << '|' << tuning_config_hash(cell.config) << '|'
+        << to_string(cell.flow);
+    return key.str();
+  };
+  std::unordered_set<std::string> seen;
+  std::vector<std::size_t> builders;
+  std::vector<std::size_t> restorers;
+  for (std::size_t gi = 0; gi < groups.size(); ++gi) {
+    bool first_holder = false;
+    for (const std::size_t index : groups[gi].cells) {
+      if (seen.insert(build_class(cells[index])).second) first_holder = true;
+    }
+    (first_holder ? builders : restorers).push_back(gi);
+  }
+  builders.insert(builders.end(), restorers.begin(), restorers.end());
+  return builders;
+}
+
 SweepRunner::SweepRunner(SweepOptions options)
     : options_(std::move(options)) {}
 
@@ -101,20 +149,9 @@ SweepRun SweepRunner::run(const SweepSpec& spec) {
 
   SweepRun run;
   run.cells.resize(cells.size());
+  run.groups = group_cells(cells, options_.group_key);
 
-  // --- Group cells (one Observer + serial execution per group) ---
-  std::unordered_map<std::string, std::size_t> group_index;
-  for (const SweepCell& cell : cells) {
-    const std::string key = options_.group_key
-                                ? options_.group_key(cell)
-                                : "cell:" + std::to_string(cell.index);
-    const auto [it, inserted] =
-        group_index.emplace(key, run.groups.size());
-    if (inserted) run.groups.push_back(SweepGroup{key, {}, nullptr});
-    run.groups[it->second].cells.push_back(cell.index);
-  }
-
-  // --- Execute groups on a worker pool ---
+  // --- Execute groups on a worker pool, builders first ---
   std::mutex start_mutex;
   const auto run_group = [&](SweepGroup& group) {
     if (options_.observe) {
@@ -157,34 +194,9 @@ SweepRun SweepRunner::run(const SweepSpec& spec) {
     }
   };
 
-  const unsigned threads = std::min<unsigned>(
-      resolve_thread_count(options_.threads),
-      static_cast<unsigned>(run.groups.size()));
-  if (threads <= 1) {
-    for (SweepGroup& group : run.groups) run_group(group);
-    return run;
-  }
-
-  std::atomic<std::size_t> next{0};
-  std::mutex error_mutex;
-  std::exception_ptr first_error;
-  const auto worker = [&] {
-    for (;;) {
-      const std::size_t gi = next.fetch_add(1);
-      if (gi >= run.groups.size()) return;
-      try {
-        run_group(run.groups[gi]);
-      } catch (...) {
-        const std::lock_guard<std::mutex> lock(error_mutex);
-        if (first_error == nullptr) first_error = std::current_exception();
-      }
-    }
-  };
-  std::vector<std::thread> pool;
-  pool.reserve(threads);
-  for (unsigned t = 0; t < threads; ++t) pool.emplace_back(worker);
-  for (std::thread& t : pool) t.join();
-  if (first_error != nullptr) std::rethrow_exception(first_error);
+  const std::vector<std::size_t> order = dispatch_order(cells, run.groups);
+  parallel_for(order.size(), options_.threads,
+               [&](std::size_t i) { run_group(run.groups[order[i]]); });
   return run;
 }
 

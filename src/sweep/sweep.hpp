@@ -12,6 +12,11 @@
 /// mapping to the same group key share one Observer and run serially
 /// in grid order on one worker (e.g. one trace file per dataset); by
 /// default every cell is its own group, giving full parallelism.
+///
+/// Dispatch is builders-first (dispatch_order): groups that are the
+/// first to hold some build class start before the groups that would
+/// only wait on those builds, so shared checkpoint and workload builds
+/// run concurrently instead of one after another.
 #pragma once
 
 #include <cstdint>
@@ -115,8 +120,11 @@ struct SweepOptions {
   /// Optional warm-state checkpoint store (sim/checkpoint.hpp),
   /// shared across every cell and worker: cells whose combination
   /// workload matches simulate that phase once and restore its end
-  /// state bit-identically. Cells with observers skip checkpointing
-  /// on their own. The store must outlive run().
+  /// state bit-identically. Builders are dispatched first, so a
+  /// restoring cell waits on at most one build; its sim_wall_ms
+  /// includes any time it spent blocked on another worker's build.
+  /// Cells with observers skip checkpointing on their own. The store
+  /// must outlive run().
   CheckpointStore* checkpoints = nullptr;
   /// Sampled-simulation fraction applied to every cell (0 = exact
   /// runs; see core/sampling.hpp). Sampled cells extrapolate with
@@ -140,8 +148,28 @@ unsigned resolve_thread_count(unsigned requested);
 void parallel_for(std::size_t count, unsigned threads,
                   const std::function<void(std::size_t)>& body);
 
-/// Schedules a SweepSpec grid onto worker threads (see file comment
-/// for the determinism and observer-group rules).
+/// Partitions cells into observer/serialization groups: cells with
+/// equal group_key(cell) form one group (cells in grid order), groups
+/// ordered by their first cell. A null group_key puts every cell in
+/// its own group.
+std::vector<SweepGroup> group_cells(
+    const std::vector<SweepCell>& cells,
+    const std::function<std::string(const SweepCell&)>& group_key);
+
+/// The order SweepRunner hands groups to workers, as indices into
+/// `groups`. Wave 1: every group that is the first (in `groups` order)
+/// to hold some build class; wave 2: all other groups. Both waves keep
+/// `groups` order. A cell's build class is its workload identity (the
+/// `prepared` pointer, else WorkloadCache::key_of(spec, scale, seed)),
+/// tuning_config_hash(config) and dataflow: cells of one class share
+/// a CheckpointKey and a WorkloadCache entry, so wave 1 starts every
+/// shared build before any cell that would block on it. A pure
+/// function of its arguments — results never depend on it.
+std::vector<std::size_t> dispatch_order(const std::vector<SweepCell>& cells,
+                                        const std::vector<SweepGroup>& groups);
+
+/// Schedules a SweepSpec grid onto worker threads in dispatch_order
+/// (see file comment for the determinism and observer-group rules).
 class SweepRunner {
  public:
   /// Captures the options; threads spin up per run() call.

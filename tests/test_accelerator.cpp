@@ -47,7 +47,8 @@ TEST_P(AllDataflows, LayerOutputMatchesGoldenModel) {
   const Problem p = make_problem(150, 1200, 64, 0.2, 42);
   Accelerator accelerator{AcceleratorConfig{}};
   const LayerRunResult result =
-      accelerator.run_layer(GetParam(), p.a_hat, p.x, p.w);
+      accelerator.run_layer({.flow = GetParam(), .a_hat = &p.a_hat, .x = &p.x,
+                             .w = &p.w});
   EXPECT_TRUE(DenseMatrix::allclose(result.output, p.expected, 1e-3, 1e-4))
       << to_string(GetParam()) << " max err "
       << DenseMatrix::max_abs_diff(result.output, p.expected);
@@ -63,7 +64,8 @@ TEST_P(AllDataflows, CombinationMatchesGoldenModel) {
   const Problem p = make_problem(100, 700, 48, 0.3, 7);
   Accelerator accelerator{AcceleratorConfig{}};
   const LayerRunResult result =
-      accelerator.run_layer(GetParam(), p.a_hat, p.x, p.w);
+      accelerator.run_layer({.flow = GetParam(), .a_hat = &p.a_hat, .x = &p.x,
+                             .w = &p.w});
   const DenseMatrix xw =
       gcn_layer_reference(p.a_hat, p.x, p.w, false).combination;
   EXPECT_TRUE(DenseMatrix::allclose(result.combination, xw, 1e-3, 1e-4));
@@ -73,7 +75,8 @@ TEST_P(AllDataflows, MacCountEqualsNnzWork) {
   const Problem p = make_problem(80, 600, 32, 0.25, 9);
   Accelerator accelerator{AcceleratorConfig{}};
   const LayerRunResult result =
-      accelerator.run_layer(GetParam(), p.a_hat, p.x, p.w);
+      accelerator.run_layer({.flow = GetParam(), .a_hat = &p.a_hat, .x = &p.x,
+                             .w = &p.w});
   // Exactly one scalar-vector MAC per non-zero of X (combination)
   // plus one per non-zero of A_hat (aggregation).
   EXPECT_EQ(result.stats.mac_ops, p.x.nnz() + p.a_hat.nnz());
@@ -91,7 +94,8 @@ TEST(Accelerator, HybridReportsPartitionAndPreprocessing) {
   const Problem p = make_problem(200, 2000, 32, 0.2, 11);
   Accelerator accelerator{AcceleratorConfig{}};
   const LayerRunResult result =
-      accelerator.run_layer(Dataflow::kHybrid, p.a_hat, p.x, p.w);
+      accelerator.run_layer({.flow = Dataflow::kHybrid, .a_hat = &p.a_hat,
+                             .x = &p.x, .w = &p.w});
   EXPECT_EQ(result.partition.nodes, 200u);
   EXPECT_EQ(result.partition.region1_rows, 40u);  // 20% of 200
   EXPECT_GE(result.preprocess_ms, 0.0);
@@ -102,7 +106,8 @@ TEST(Accelerator, BaselinesDoNotPreprocess) {
   const Problem p = make_problem(60, 400, 24, 0.3, 13);
   Accelerator accelerator{AcceleratorConfig{}};
   const LayerRunResult result =
-      accelerator.run_layer(Dataflow::kRowWiseProduct, p.a_hat, p.x, p.w);
+      accelerator.run_layer({.flow = Dataflow::kRowWiseProduct,
+                             .a_hat = &p.a_hat, .x = &p.x, .w = &p.w});
   EXPECT_EQ(result.preprocess_ms, 0.0);
   EXPECT_EQ(result.partition.nodes, 0u);
 }
@@ -112,7 +117,8 @@ TEST(Accelerator, ShapeValidation) {
   Accelerator accelerator{AcceleratorConfig{}};
   const DenseMatrix bad_w = DenseMatrix::random(99, 16, 1);
   EXPECT_THROW(
-      accelerator.run_layer(Dataflow::kRowWiseProduct, p.a_hat, p.x, bad_w),
+      accelerator.run_layer({.flow = Dataflow::kRowWiseProduct,
+                             .a_hat = &p.a_hat, .x = &p.x, .w = &bad_w}),
       CheckError);
 }
 
@@ -137,7 +143,8 @@ TEST(Accelerator, WideLayerDimensionVerifies) {
   for (const Dataflow flow :
        {Dataflow::kRowWiseProduct, Dataflow::kOuterProduct,
         Dataflow::kHybrid}) {
-    const LayerRunResult r = accelerator.run_layer(flow, a_hat, x, w);
+    const LayerRunResult r = accelerator.run_layer(
+        {.flow = flow, .a_hat = &a_hat, .x = &x, .w = &w});
     EXPECT_TRUE(DenseMatrix::allclose(r.output, expected, 1e-3, 1e-4))
         << to_string(flow);
     // Two chunk MACs per non-zero.
@@ -152,7 +159,8 @@ TEST(Accelerator, DramTrafficIsConsistent) {
        {Dataflow::kRowWiseProduct, Dataflow::kOuterProduct,
         Dataflow::kHybrid}) {
     Accelerator accelerator{AcceleratorConfig{}};
-    const LayerRunResult r = accelerator.run_layer(flow, p.a_hat, p.x, p.w);
+    const LayerRunResult r = accelerator.run_layer(
+        {.flow = flow, .a_hat = &p.a_hat, .x = &p.x, .w = &p.w});
     // Total bytes equal the per-class sums.
     std::uint64_t sum = 0;
     for (std::size_t i = 0; i < kTrafficClassCount; ++i) {
@@ -175,9 +183,11 @@ TEST(Accelerator, HybridUnpermutesOutputRows) {
   const Problem p = make_problem(90, 1000, 24, 0.4, 23);
   Accelerator accelerator{AcceleratorConfig{}};
   const LayerRunResult hybrid =
-      accelerator.run_layer(Dataflow::kHybrid, p.a_hat, p.x, p.w);
+      accelerator.run_layer({.flow = Dataflow::kHybrid, .a_hat = &p.a_hat,
+                             .x = &p.x, .w = &p.w});
   const LayerRunResult rwp =
-      accelerator.run_layer(Dataflow::kRowWiseProduct, p.a_hat, p.x, p.w);
+      accelerator.run_layer({.flow = Dataflow::kRowWiseProduct,
+                             .a_hat = &p.a_hat, .x = &p.x, .w = &p.w});
   EXPECT_TRUE(
       DenseMatrix::allclose(hybrid.output, rwp.output, 1e-3, 1e-4));
 }

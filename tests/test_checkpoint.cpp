@@ -299,5 +299,56 @@ TEST(CheckpointSweep, ConcurrentCellsShareOneBuild) {
   EXPECT_EQ(builders, 1u);
 }
 
+// Two build classes (two DMB sizes x four thresholds) under eight
+// workers: builders-first dispatch starts both builds at once, each
+// key still builds exactly once, and every cell matches a serial,
+// store-less sweep bit-for-bit.
+TEST(CheckpointSweep, TwoKeysBuildOnceEachAtEightThreads) {
+  SweepSpec spec;
+  spec.datasets = {*find_dataset("CR")};
+  spec.scale = 0.1;
+  spec.seed = 42;
+  spec.flows = {Dataflow::kHybrid};
+  spec.configs.clear();
+  for (const std::size_t kb : {128u, 256u}) {
+    for (const double threshold : {0.1, 0.2, 0.3, 0.4}) {
+      AcceleratorConfig config;
+      config.dmb_bytes = kb * 1024;
+      config.tiling_threshold = threshold;
+      spec.configs.push_back(config);
+    }
+  }
+
+  SweepOptions plain;
+  plain.threads = 1;
+  const SweepRun base = SweepRunner(plain).run(spec);
+
+  CheckpointStore store;
+  SweepOptions checkpointed;
+  checkpointed.threads = 8;
+  checkpointed.checkpoints = &store;
+  const SweepRun warm = SweepRunner(checkpointed).run(spec);
+
+  EXPECT_EQ(store.builds(), 2u);
+  ASSERT_EQ(base.cells.size(), warm.cells.size());
+  ASSERT_EQ(base.cells.size(), 8u);
+  std::size_t builders = 0;
+  for (std::size_t i = 0; i < base.cells.size(); ++i) {
+    const ExperimentResult& a = base.cells[i].result;
+    const ExperimentResult& b = warm.cells[i].result;
+    SCOPED_TRACE("config " + std::to_string(i));
+    EXPECT_EQ(warm.cells[i].cell.index, i);
+    EXPECT_EQ(a.cycles, b.cycles);
+    EXPECT_EQ(a.stats.stall_cycles, b.stats.stall_cycles);
+    EXPECT_EQ(a.dram_total_bytes, b.dram_total_bytes);
+    EXPECT_EQ(a.dram_read_bytes, b.dram_read_bytes);
+    EXPECT_EQ(a.dram_write_bytes, b.dram_write_bytes);
+    EXPECT_TRUE(b.verified);
+    EXPECT_TRUE(b.checkpoint.restored);
+    if (b.checkpoint.built) ++builders;
+  }
+  EXPECT_EQ(builders, 2u);
+}
+
 }  // namespace
 }  // namespace hymm

@@ -51,8 +51,8 @@ TEST(CycleAccounting, BucketsSumToCyclesForEveryFlowAndPhase) {
        {Dataflow::kOuterProduct, Dataflow::kRowWiseProduct,
         Dataflow::kHybrid}) {
     SCOPED_TRACE(to_string(flow));
-    const LayerRunResult r = accelerator.run_layer(flow, wl.a_hat, wl.x,
-                                                   wl.w);
+    const LayerRunResult r = accelerator.run_layer(
+        {.flow = flow, .a_hat = &wl.a_hat, .x = &wl.x, .w = &wl.w});
     expect_accounted(r.stats, "layer");
     expect_accounted(r.combination_stats, "combination");
     expect_accounted(r.aggregation_stats, "aggregation");
@@ -66,7 +66,8 @@ TEST(CycleAccounting, HybridRegionBucketsSumToPhaseTotals) {
   const Workload wl = small_workload(11);
   const Accelerator accelerator{AcceleratorConfig{}};
   const LayerRunResult r =
-      accelerator.run_layer(Dataflow::kHybrid, wl.a_hat, wl.x, wl.w);
+      accelerator.run_layer({.flow = Dataflow::kHybrid, .a_hat = &wl.a_hat,
+                             .x = &wl.x, .w = &wl.w});
 
   // Each region's buckets sum to that region's cycle count (the
   // scaled region-2 split preserves the invariant by construction).
@@ -95,14 +96,16 @@ TEST(CycleAccounting, ObserverDoesNotChangeCyclesOrBuckets) {
         Dataflow::kHybrid}) {
     SCOPED_TRACE(to_string(flow));
     const LayerRunResult bare =
-        accelerator.run_layer(flow, wl.a_hat, wl.x, wl.w);
+        accelerator.run_layer({.flow = flow, .a_hat = &wl.a_hat, .x = &wl.x,
+                               .w = &wl.w});
     ObserverOptions oopts;
     oopts.trace = true;
     oopts.sample_interval = 1;
     Observer obs(oopts);
     obs.begin_run("accounting");
     const LayerRunResult observed =
-        accelerator.run_layer(flow, wl.a_hat, wl.x, wl.w, &obs);
+        accelerator.run_layer({.flow = flow, .a_hat = &wl.a_hat, .x = &wl.x,
+                               .w = &wl.w, .observer = &obs});
     EXPECT_EQ(std::uint64_t{bare.stats.cycles},
               std::uint64_t{observed.stats.cycles});
     EXPECT_EQ(bare.stats.stall_cycles, observed.stats.stall_cycles);
@@ -127,9 +130,11 @@ TEST(CycleAccounting, ConstrainedMemorySystemShiftsBlameToMemory) {
   const Accelerator slow{starved};
   const Accelerator fast{AcceleratorConfig{}};
   const LayerRunResult r_slow =
-      slow.run_layer(Dataflow::kRowWiseProduct, wl.a_hat, wl.x, wl.w);
+      slow.run_layer({.flow = Dataflow::kRowWiseProduct, .a_hat = &wl.a_hat,
+                      .x = &wl.x, .w = &wl.w});
   const LayerRunResult r_fast =
-      fast.run_layer(Dataflow::kRowWiseProduct, wl.a_hat, wl.x, wl.w);
+      fast.run_layer({.flow = Dataflow::kRowWiseProduct, .a_hat = &wl.a_hat,
+                      .x = &wl.x, .w = &wl.w});
   expect_accounted(r_slow.stats, "starved layer");
   const auto memory_share = [](const SimStats& s) {
     return static_cast<double>(stall_group_memory(s.stall_cycles)) /

@@ -23,7 +23,8 @@ void expect_layer_matches_reference(const CsrMatrix& a_hat,
       gcn_layer_reference(a_hat, x, w, false).aggregation;
   const Accelerator accelerator(config);
   for (const Dataflow flow : kAllFlows) {
-    const LayerRunResult r = accelerator.run_layer(flow, a_hat, x, w);
+    const LayerRunResult r = accelerator.run_layer(
+        {.flow = flow, .a_hat = &a_hat, .x = &x, .w = &w});
     EXPECT_TRUE(DenseMatrix::allclose(r.output, expected, 1e-3, 1e-4))
         << to_string(flow);
     EXPECT_EQ(r.stats.partial_bytes_now, 0u) << to_string(flow);
@@ -187,8 +188,10 @@ TEST(EdgeCases, RepeatedRunsAreDeterministic) {
   const DenseMatrix w = DenseMatrix::random(24, 16, 20);
   const Accelerator accelerator{AcceleratorConfig{}};
   for (const Dataflow flow : kAllFlows) {
-    const LayerRunResult a = accelerator.run_layer(flow, a_hat, x, w);
-    const LayerRunResult b = accelerator.run_layer(flow, a_hat, x, w);
+    const LayerRunResult a = accelerator.run_layer(
+        {.flow = flow, .a_hat = &a_hat, .x = &x, .w = &w});
+    const LayerRunResult b = accelerator.run_layer(
+        {.flow = flow, .a_hat = &a_hat, .x = &x, .w = &w});
     EXPECT_EQ(a.stats.cycles, b.stats.cycles) << to_string(flow);
     EXPECT_EQ(a.stats.dram_total_bytes(), b.stats.dram_total_bytes());
     EXPECT_EQ(a.output, b.output);

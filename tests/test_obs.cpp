@@ -225,20 +225,23 @@ TEST_P(TracedDataflows, CyclesIdenticalWithAndWithoutObserver) {
   const Accelerator accelerator{AcceleratorConfig{}};
 
   const LayerRunResult bare =
-      accelerator.run_layer(GetParam(), p.a_hat, p.x, p.w);
+      accelerator.run_layer({.flow = GetParam(), .a_hat = &p.a_hat, .x = &p.x,
+                             .w = &p.w});
 
   ObserverOptions metrics_only;
   metrics_only.trace = false;
   Observer quiet(metrics_only);
   const LayerRunResult with_metrics =
-      accelerator.run_layer(GetParam(), p.a_hat, p.x, p.w, &quiet);
+      accelerator.run_layer({.flow = GetParam(), .a_hat = &p.a_hat, .x = &p.x,
+                             .w = &p.w, .observer = &quiet});
 
   ObserverOptions tracing;
   tracing.trace = true;
   Observer loud(tracing);
   loud.begin_run("test");
   const LayerRunResult with_trace =
-      accelerator.run_layer(GetParam(), p.a_hat, p.x, p.w, &loud);
+      accelerator.run_layer({.flow = GetParam(), .a_hat = &p.a_hat, .x = &p.x,
+                             .w = &p.w, .observer = &loud});
 
   EXPECT_EQ(bare.stats.cycles, with_metrics.stats.cycles);
   EXPECT_EQ(bare.stats.cycles, with_trace.stats.cycles);
@@ -263,7 +266,8 @@ TEST(TracedRun, HybridTraceHasPhasesRegionsAndCounterTracks) {
   oopts.trace = true;
   Observer obs(oopts);
   obs.begin_run("HyMM/test");
-  accelerator.run_layer(Dataflow::kHybrid, p.a_hat, p.x, p.w, &obs);
+  accelerator.run_layer({.flow = Dataflow::kHybrid, .a_hat = &p.a_hat,
+                         .x = &p.x, .w = &p.w, .observer = &obs});
 
   std::ostringstream out;
   obs.trace().write(out);
@@ -314,10 +318,12 @@ TEST(TracedRun, MultipleRunsGetDistinctProcessGroups) {
   Observer obs(oopts);
   obs.begin_run("first");
   const int pid1 = obs.run_pid();
-  accelerator.run_layer(Dataflow::kRowWiseProduct, p.a_hat, p.x, p.w, &obs);
+  accelerator.run_layer({.flow = Dataflow::kRowWiseProduct, .a_hat = &p.a_hat,
+                         .x = &p.x, .w = &p.w, .observer = &obs});
   obs.begin_run("second");
   const int pid2 = obs.run_pid();
-  accelerator.run_layer(Dataflow::kOuterProduct, p.a_hat, p.x, p.w, &obs);
+  accelerator.run_layer({.flow = Dataflow::kOuterProduct, .a_hat = &p.a_hat,
+                         .x = &p.x, .w = &p.w, .observer = &obs});
   EXPECT_NE(pid1, pid2);
 
   std::ostringstream out;
@@ -337,7 +343,8 @@ TEST(TracedRun, MetricsOnlyObserverBuffersNoEvents) {
   const Problem p = make_problem(60, 300, 3);
   const Accelerator accelerator{AcceleratorConfig{}};
   Observer obs;  // trace defaults to false
-  accelerator.run_layer(Dataflow::kHybrid, p.a_hat, p.x, p.w, &obs);
+  accelerator.run_layer({.flow = Dataflow::kHybrid, .a_hat = &p.a_hat,
+                         .x = &p.x, .w = &p.w, .observer = &obs});
   EXPECT_EQ(obs.trace().event_count(), 0u);
   EXPECT_FALSE(obs.metrics().empty());
 }

@@ -112,7 +112,8 @@ TEST_P(ConfigSweep, AllDataflowsVerifyUnderEveryConfig) {
        {Dataflow::kOuterProduct, Dataflow::kRowWiseProduct,
         Dataflow::kHybrid}) {
     SCOPED_TRACE(to_string(flow));
-    const LayerRunResult r = accelerator.run_layer(flow, a_hat, x, w);
+    const LayerRunResult r = accelerator.run_layer(
+        {.flow = flow, .a_hat = &a_hat, .x = &x, .w = &w});
 
     // (a) Exact functional result.
     EXPECT_TRUE(DenseMatrix::allclose(r.output, expected, 1e-3, 1e-4))
@@ -176,11 +177,14 @@ TEST_P(SeedSweep, DataflowsAgreeWithEachOther) {
 
   const Accelerator accelerator{AcceleratorConfig{}};
   const LayerRunResult rwp =
-      accelerator.run_layer(Dataflow::kRowWiseProduct, a_hat, x, w);
+      accelerator.run_layer({.flow = Dataflow::kRowWiseProduct, .a_hat = &a_hat,
+                             .x = &x, .w = &w});
   const LayerRunResult op =
-      accelerator.run_layer(Dataflow::kOuterProduct, a_hat, x, w);
+      accelerator.run_layer({.flow = Dataflow::kOuterProduct, .a_hat = &a_hat,
+                             .x = &x, .w = &w});
   const LayerRunResult hymm =
-      accelerator.run_layer(Dataflow::kHybrid, a_hat, x, w);
+      accelerator.run_layer({.flow = Dataflow::kHybrid, .a_hat = &a_hat,
+                             .x = &x, .w = &w});
   // All three computed the same function.
   EXPECT_TRUE(DenseMatrix::allclose(rwp.output, op.output, 1e-3, 1e-4));
   EXPECT_TRUE(DenseMatrix::allclose(rwp.output, hymm.output, 1e-3, 1e-4));

@@ -8,6 +8,7 @@
 #include <atomic>
 #include <memory>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -293,6 +294,79 @@ TEST(WorkloadCacheTest, PreparedWorkloadMatchesManualBuild) {
       EXPECT_EQ(prepared.weights().at(r, c), weights.at(r, c));
     }
   }
+}
+
+// Dispatch order is a pure function of the cells and groups, so it is
+// tested directly rather than through timing. The photo-dse shape
+// (perfbench): one workload, hybrid only, 3 DMB sizes x 5 thresholds,
+// DMB-major, every cell its own group. The checkpoint key ignores the
+// threshold, so each DMB size is one build class and its first cell
+// (groups 0, 5, 10) must start before any cell that restores from it.
+TEST(SweepDispatch, PhotoDseGridStartsEveryBuildFirst) {
+  SweepSpec spec;
+  spec.datasets = {*find_dataset("AP")};
+  spec.scale = 1.0;
+  spec.flows = {Dataflow::kHybrid};
+  spec.configs.clear();
+  for (const std::size_t kb : {128u, 256u, 512u}) {
+    for (const double threshold : {0.05, 0.1, 0.2, 0.35, 0.5}) {
+      AcceleratorConfig config;
+      config.dmb_bytes = kb * 1024;
+      config.tiling_threshold = threshold;
+      spec.configs.push_back(config);
+    }
+  }
+  const std::vector<SweepCell> cells = spec.cells();
+  const std::vector<SweepGroup> groups = group_cells(cells, nullptr);
+  ASSERT_EQ(groups.size(), 15u);
+  EXPECT_EQ(dispatch_order(cells, groups),
+            (std::vector<std::size_t>{0, 5, 10, 1, 2, 3, 4, 6, 7, 8, 9, 11,
+                                      12, 13, 14}));
+}
+
+// Bench-style grouping (one group per dataset x config, all three
+// flows inside): with configs that differ only in the threshold, each
+// dataset's first group holds all of that dataset's build classes, so
+// both start before any other group — the two workload builds overlap.
+TEST(SweepDispatch, BenchGroupsStartEachDatasetsFirstGroupFirst) {
+  SweepSpec spec;
+  spec.datasets = {*find_dataset("CR"), *find_dataset("AP")};
+  spec.scale = 0.05;
+  spec.configs.clear();
+  for (const double threshold : {0.1, 0.2, 0.3}) {
+    AcceleratorConfig config;
+    config.tiling_threshold = threshold;
+    spec.configs.push_back(config);
+  }
+  const std::vector<SweepCell> cells = spec.cells();
+  const std::vector<SweepGroup> groups =
+      group_cells(cells, [](const SweepCell& cell) {
+        return cell.spec.abbrev + "#" + std::to_string(cell.config_index);
+      });
+  ASSERT_EQ(groups.size(), 6u);
+  EXPECT_EQ(groups[0].key, "CR#0");
+  EXPECT_EQ(groups[3].key, "AP#0");
+  EXPECT_EQ(dispatch_order(cells, groups),
+            (std::vector<std::size_t>{0, 3, 1, 2, 4, 5}));
+}
+
+// One build class: only the first group builds, so dispatch keeps grid
+// order.
+TEST(SweepDispatch, SingleBuildClassKeepsGridOrder) {
+  SweepSpec spec;
+  spec.datasets = {*find_dataset("CR")};
+  spec.scale = 0.05;
+  spec.flows = {Dataflow::kHybrid};
+  spec.configs.clear();
+  for (const double threshold : {0.1, 0.2, 0.3, 0.4}) {
+    AcceleratorConfig config;
+    config.tiling_threshold = threshold;
+    spec.configs.push_back(config);
+  }
+  const std::vector<SweepCell> cells = spec.cells();
+  const std::vector<SweepGroup> groups = group_cells(cells, nullptr);
+  EXPECT_EQ(dispatch_order(cells, groups),
+            (std::vector<std::size_t>{0, 1, 2, 3}));
 }
 
 TEST(ResolveThreadCountTest, ExplicitRequestWins) {
