@@ -14,11 +14,7 @@
 // --autotune[=analytic|measured] (HYMM_AUTOTUNE) the hybrid runs
 // under each dataset's tuned tiling threshold instead of the fixed
 // default — the CI autotune leg snapshots analytic-tuned cycles this
-// way and diffs them against a fixed-threshold snapshot. With
-// --route=tiles[:analytic|:measured] (HYMM_ROUTE) the hybrid runs
-// under each dataset's per-tile routing map instead; the CI routing
-// leg snapshots tiles:analytic cycles and gates them against the
-// global-tuned snapshot the same way.
+// way and diffs them against a fixed-threshold snapshot.
 #include <fstream>
 #include <iostream>
 #include <string>

@@ -17,19 +17,17 @@ structural requirements:
                           "sample"/"checkpoint" need /7 (a result
                           labeled "sampled": true must carry a
                           "sample" object with per-phase band counts
-                          and error bars); "route" needs /8 (its
-                          "tile_flows" array must match the declared
-                          grid geometry, flows must be 0/1, and a
-                          sampled result must not carry one).
+                          and error bars).
   hymm-bench/1|2|3        "runs" array; every run carries abbrev,
                           flow, cycles and a stall breakdown; /2 runs
                           also the per-phase breakdown; /3 runs also
                           the "sampled" label (sampled runs carry
                           sample_fraction and sample_rel_error_bound).
-  hymm-tune-cache/1|2     "entries" array of cached tuner decisions;
-                          /2 entries also carry the router fields
-                          (route_kind in {"", "global", "tiles"} and
-                          a numeric tile edge).
+  hymm-tune-cache/3       "entries" array of cached tuner decisions;
+                          every entry carries hex graph_fingerprint
+                          and config_hash strings, a mode in
+                          {"analytic", "measured"} and a numeric
+                          threshold.
   hymm-serve-report/1     serve_bench output: "config", "classes",
                           "summary" (latency quantile blocks),
                           "traffic" (the DRAM conservation ledger,
@@ -55,7 +53,8 @@ RUN_REPORT_SCHEMAS = {
 BENCH_SCHEMAS = {"hymm-bench/1": 1, "hymm-bench/2": 2, "hymm-bench/3": 3}
 SAMPLE_PHASE_KEYS = ("bands_total", "bands_simulated", "nnz_total",
                      "nnz_simulated", "cycles_estimate", "cycles_stderr")
-TUNE_CACHE_SCHEMAS = {"hymm-tune-cache/1": 1, "hymm-tune-cache/2": 2}
+TUNE_CACHE_SCHEMAS = {"hymm-tune-cache/3": 3}
+TUNE_MODES = ("analytic", "measured")
 SERVE_REPORT_SCHEMAS = {"hymm-serve-report/1": 1}
 
 RESULT_KEYS = ("dataset", "abbrev", "scale", "flow", "cycles", "verified")
@@ -137,38 +136,6 @@ def check_sample(sample, where, problems):
                 f"bands_total {bands}")
 
 
-def check_route(route, where, problems):
-    for key in ("mode", "graph_fingerprint", "config_hash"):
-        if not isinstance(route.get(key), str):
-            problems.append(f"{where}: {key!r} is not a string")
-    for key in ("degenerate", "cache_hit"):
-        if not isinstance(route.get(key), bool):
-            problems.append(f"{where}: {key!r} is not a boolean")
-    for key in ("simulations", "global_threshold",
-                "predicted_global_cycles", "predicted_tiled_cycles",
-                "nodes", "tile", "op_rows", "region2_cols"):
-        if not isinstance(route.get(key), (int, float)):
-            problems.append(f"{where}: {key!r} is not a number")
-    rows = route.get("grid_rows")
-    cols = route.get("grid_cols")
-    if not isinstance(rows, int) or not isinstance(cols, int) \
-            or rows <= 0 or cols <= 0:
-        problems.append(f"{where}: routing grid geometry is invalid")
-        return
-    cells = rows * cols
-    flows = route.get("tile_flows")
-    if not isinstance(flows, list) or len(flows) != cells:
-        problems.append(
-            f"{where}: \"tile_flows\" is not a {cells}-cell list")
-    elif any(f not in (0, 1) for f in flows):
-        problems.append(f"{where}: tile_flows entries must be 0 or 1")
-    for key in ("tile_predicted_cycles", "tile_nnz"):
-        column = route.get(key)
-        if column is not None and \
-                (not isinstance(column, list) or len(column) != cells):
-            problems.append(f"{where}: {key!r} is not a {cells}-cell list")
-
-
 def check_run_report(doc, version, problems):
     results = doc.get("results")
     if not isinstance(results, list) or not results:
@@ -189,7 +156,7 @@ def check_run_report(doc, version, problems):
             check_stalls(stats, f"{where}.stats", problems)
         for key, since in (("histograms", 5), ("timeseries", 5),
                            ("spatial", 6), ("sample", 7),
-                           ("checkpoint", 7), ("route", 8)):
+                           ("checkpoint", 7)):
             if key in result and version < since:
                 problems.append(
                     f"{where}: {key!r} needs hymm-run-report/{since}+ "
@@ -205,13 +172,6 @@ def check_run_report(doc, version, problems):
                     "\"sample\" object")
             else:
                 check_sample(sample, f"{where}.sample", problems)
-        route = result.get("route")
-        if version >= 8 and isinstance(route, dict):
-            check_route(route, f"{where}.route", problems)
-            if result.get("sampled"):
-                problems.append(
-                    f"{where}: sampled result must not carry a "
-                    "\"route\" object (sampled runs ignore routing)")
 
 
 def check_bench(doc, version, problems):
@@ -338,17 +298,15 @@ def check_tune_cache(doc, version, problems):
         if not isinstance(entry, dict):
             problems.append(f"entries[{i}]: not an object")
             continue
-        if version >= 2:
-            kind = entry.get("route_kind")
-            if kind not in ("", "global", "tiles"):
-                problems.append(
-                    f"entries[{i}]: route_kind {kind!r} is not one of "
-                    "\"\", \"global\", \"tiles\" (required by "
-                    "hymm-tune-cache/2)")
-            if not isinstance(entry.get("tile"), (int, float)):
-                problems.append(
-                    f"entries[{i}]: \"tile\" is not a number (required "
-                    "by hymm-tune-cache/2)")
+        for key in ("graph_fingerprint", "config_hash"):
+            if not isinstance(entry.get(key), str):
+                problems.append(f"entries[{i}]: \"{key}\" is not a string")
+        if entry.get("mode") not in TUNE_MODES:
+            problems.append(
+                f"entries[{i}]: mode {entry.get('mode')!r} is not one of "
+                f"{', '.join(TUNE_MODES)}")
+        if not isinstance(entry.get("threshold"), (int, float)):
+            problems.append(f"entries[{i}]: \"threshold\" is not a number")
 
 
 def check_file(path):

@@ -37,24 +37,6 @@ std::optional<AutotuneMode> parse_autotune_mode(std::string_view text) {
   return std::nullopt;
 }
 
-std::string to_string(RouteMode mode) {
-  switch (mode) {
-    case RouteMode::kGlobal: return "global";
-    case RouteMode::kTilesAnalytic: return "tiles:analytic";
-    case RouteMode::kTilesMeasured: return "tiles:measured";
-  }
-  return "?";
-}
-
-std::optional<RouteMode> parse_route_mode(std::string_view text) {
-  if (text == "global") return RouteMode::kGlobal;
-  if (text == "tiles" || text == "tiles:analytic") {
-    return RouteMode::kTilesAnalytic;
-  }
-  if (text == "tiles:measured") return RouteMode::kTilesMeasured;
-  return std::nullopt;
-}
-
 void AcceleratorConfig::validate() const {
   HYMM_CHECK_MSG(pe_count > 0, "need at least one PE");
   HYMM_CHECK_MSG(clock_ghz > 0.0, "clock must be positive");

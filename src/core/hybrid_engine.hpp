@@ -9,7 +9,6 @@
 
 #include "core/engine.hpp"
 #include "core/op_engine.hpp"
-#include "core/routing.hpp"
 #include "core/rwp_engine.hpp"
 #include "graph/partition.hpp"
 #include "linalg/dense.hpp"
@@ -18,15 +17,9 @@ namespace hymm {
 
 /// Inputs of one hybrid aggregation run (`run_hybrid_aggregation`).
 struct HybridAggregationParams {
-  /// Paper-style global 3-region split (graph/partition.hpp).
+  /// Paper-style global 3-region split (graph/partition.hpp):
+  /// region 1 runs OP, regions 2 and 3 run RWP.
   const TiledAdjacency* tiled = nullptr;
-
-  /// Per-tile routed split (core/routing.hpp): the generalized form of
-  /// `tiled`. Exactly one of the two must be set; with `routed` the
-  /// engine takes its partition, OP block, RWP block and RWP row
-  /// rebasing from the routing map's split. A degenerate routed split
-  /// simulates bit-identically to the equivalent `tiled` one.
-  const RoutedAdjacency* routed = nullptr;
 
   const DenseMatrix* b = nullptr;  ///< XW, row-per-node
   AddressRegion b_region;          ///< address range backing `b`

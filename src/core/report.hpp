@@ -47,12 +47,10 @@ void write_results_csv(std::span<const ExperimentResult> results,
 /// deltas and, for hybrid runs, the per-region breakdown), each with
 /// its stall-cycle breakdown and bottleneck verdict, plus the
 /// partition, the verification verdict, — when a result was
-/// auto-tuned — the tuner decision under "tune", — when a tiles
-/// --route mode ran — the routing attribution under "route", — when
-/// an observer was attached — the latency-histogram summary under
-/// "histograms" and the windowed telemetry under "timeseries", and
-/// — with --spatial — the tile heatmap and per-PE counters under
-/// "spatial".
+/// auto-tuned — the tuner decision under "tune", — when an observer
+/// was attached — the latency-histogram summary under "histograms"
+/// and the windowed telemetry under "timeseries", and — with
+/// --spatial — the tile heatmap and per-PE counters under "spatial".
 /// When `metrics` is non-null its counters/gauges/histograms
 /// are appended under "metrics"; when `trace` is non-null its event
 /// and dropped-instant counts are appended under "trace". Output is

@@ -67,8 +67,6 @@ ExperimentResult run_experiment(const ExperimentRequest& request) {
   layer_request.observer = request.observer;
   layer_request.sort = request.sort;
   layer_request.sorted_features = request.sorted_features;
-  layer_request.route =
-      request.flow == Dataflow::kHybrid ? request.route : nullptr;
   layer_request.checkpoints = request.checkpoints;
   const auto sim_begin = std::chrono::steady_clock::now();
   const LayerRunResult layer = accelerator.run_layer(layer_request);

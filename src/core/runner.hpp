@@ -45,43 +45,6 @@ struct TuneInfo {
   std::vector<TuneCandidateInfo> candidates;  ///< search detail (empty on hits)
 };
 
-/// Driver-level annotation describing how a hybrid result's per-tile
-/// routing map was chosen (src/tune/router.hpp). Plain data, like
-/// TuneInfo: core does not depend on the router library — drivers
-/// that ran the TileRouter attach the decision (and a copy of the
-/// map) to their hybrid results, and the JSON run report
-/// (hymm-run-report/8) serializes it under "route".
-struct RouteInfo {
-  bool enabled = false;     ///< false = global 3-region split, no map
-  std::string mode;         ///< "analytic" | "measured"
-  /// True when the router fell back to the degenerate map (the global
-  /// split won); the run is then bit-identical to --route=global.
-  bool degenerate = true;
-  bool cache_hit = false;   ///< decision served from the tune cache
-  std::uint64_t simulations = 0;  ///< candidate simulations this run paid
-  double global_threshold = 0.0;  ///< tiling threshold the map was built on
-  double predicted_global_cycles = 0.0;  ///< cost model, degenerate map
-  double predicted_tiled_cycles = 0.0;   ///< cost model, chosen map
-  NodeId nodes = 0;          ///< adjacency dimension the map covers
-  NodeId tile = 0;           ///< tile edge in nodes
-  std::size_t grid_rows = 0; ///< routing grid rows (== cols)
-  std::size_t grid_cols = 0; ///< routing grid cols
-  NodeId op_rows = 0;        ///< pinned-output prefix of the map
-  NodeId region2_cols = 0;   ///< RWP hot-column boundary of the map
-  /// Per-tile chosen flow, row-major (0 = OP, 1 = RWP), for the
-  /// report's routing-map attribution and render_heatmap
-  /// --metric=route.
-  std::vector<std::uint8_t> tile_flows;
-  /// Cost-model cycle prediction per tile (row-major; empty when the
-  /// map skipped the cost model). Compared against the actual spatial
-  /// per-tile cycles when --spatial is on.
-  std::vector<double> tile_predicted_cycles;
-  /// Adjacency nonzeros per tile (row-major; empty when unknown).
-  std::vector<std::uint64_t> tile_nnz;
-  std::string graph_fingerprint; ///< hex digest of the routed workload
-  std::string config_hash;       ///< hex digest of the timing config
-};
-
 /// Distilled metrics of one simulated (dataset, dataflow, config)
 /// cell: the paper-figure numbers up front, full counter sets and
 /// per-phase/per-region breakdowns behind them.
@@ -140,12 +103,6 @@ struct ExperimentResult {
   /// run_experiment itself.
   TuneInfo tune;
 
-  /// How the per-tile routing map was chosen (route.enabled=false
-  /// means the global 3-region split ran). Filled by drivers that ran
-  /// the TileRouter, not by run_experiment itself. Serialized as the
-  /// "route" object of hymm-run-report/8.
-  RouteInfo route;
-
   /// Warm-state checkpoint interaction of the combination phase
   /// (sim/checkpoint.hpp); all-false unless the request passed a
   /// CheckpointStore. Serialized as the "checkpoint" object of
@@ -203,13 +160,6 @@ struct ExperimentRequest {
   Observer* observer = nullptr;            ///< optional; never affects timing
   const DegreeSortResult* sort = nullptr;  ///< optional precomputed sort
   const CsrMatrix* sorted_features = nullptr;  ///< features under `sort`
-  /// Optional per-tile routing map (core/routing.hpp), hybrid flow
-  /// only: forwarded to LayerRunRequest::route. The map lives in
-  /// degree-sorted coordinates and must cover the workload's node
-  /// count. On sampled runs (`sample` > 0) the map is ignored — band
-  /// extrapolation samples the global split — and the result's
-  /// route annotation stays disabled.
-  const TileRoutingMap* route = nullptr;
   /// Optional warm-state checkpoint store (sim/checkpoint.hpp): cells
   /// sharing a combination workload simulate it once and restore the
   /// boundary state bit-identically. Ignored when `observer` is set.

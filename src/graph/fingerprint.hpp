@@ -1,6 +1,6 @@
 /// @file
 /// Stable fingerprints for the tuning cache (docs/schemas.md,
-/// `hymm-tune-cache/2`). A cached threshold is only valid for the
+/// `hymm-tune-cache/3`). A cached threshold is only valid for the
 /// exact sparse structure it was tuned on and for the exact timing
 /// model it was measured under, so cache keys pair a graph
 /// fingerprint with a config hash. Both are plain FNV/splitmix-style

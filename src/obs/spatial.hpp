@@ -86,10 +86,7 @@ ImbalanceStats compute_imbalance(std::span<const std::uint64_t> values);
 /// Tile edge (in nodes) the spatial grid uses for an `nodes` x `nodes`
 /// adjacency: the explicit override when >= 2, else ~nodes/32
 /// (SpatialTracker::kAutoGridSide), always raised until the grid fits
-/// kMaxGridSide per side. The per-tile dataflow router
-/// (src/core/routing.hpp) sizes its routing grid with the same
-/// function so routing maps and spatial heatmaps share tile
-/// coordinates.
+/// kMaxGridSide per side.
 NodeId spatial_tile_edge(NodeId nodes, NodeId tile_override);
 
 /// One run's spatial attribution, handed from the Observer's tracker

@@ -56,16 +56,6 @@ AutotuneMode parse_autotune(const std::string& source,
   return *mode;
 }
 
-RouteMode parse_route(const std::string& source, const std::string& value) {
-  const std::optional<RouteMode> mode = parse_route_mode(value);
-  if (!mode) {
-    throw UsageError("invalid value '" + value + "' for " + source +
-                     " (expected global, tiles, tiles:analytic or "
-                     "tiles:measured)");
-  }
-  return *mode;
-}
-
 // "0" = off, "1" = on at the default 256-cycle interval, N >= 2 = a
 // custom interval of N cycles.
 std::uint64_t parse_timeseries(const std::string& source,
@@ -167,9 +157,6 @@ BenchOptions BenchOptions::parse(const std::vector<std::string>& args,
   if (const char* v = env("HYMM_AUTOTUNE")) {
     options.autotune = parse_autotune("HYMM_AUTOTUNE", v);
   }
-  if (const char* v = env("HYMM_ROUTE")) {
-    options.route = parse_route("HYMM_ROUTE", v);
-  }
   if (const char* v = env("HYMM_TUNE_CACHE")) options.tune_cache = v;
   if (const char* v = env("HYMM_ARRIVAL_RATE")) {
     options.arrival_rate = parse_arrival_rate("HYMM_ARRIVAL_RATE", v);
@@ -240,11 +227,6 @@ BenchOptions BenchOptions::parse(const std::vector<std::string>& args,
       // search (never consumes the following argument).
       options.autotune = parse_autotune(
           "--autotune", inline_value ? *inline_value : "measured");
-    } else if (arg == "--route") {
-      // Value optional: bare --route means tiles:analytic (never
-      // consumes the following argument).
-      options.route =
-          parse_route("--route", inline_value ? *inline_value : "tiles");
     } else if (arg == "--tune-cache") {
       options.tune_cache = next();
     } else if (arg == "--arrival-rate") {
@@ -278,13 +260,6 @@ BenchOptions BenchOptions::parse(const std::vector<std::string>& args,
     }
   }
 
-  if (options.route != RouteMode::kGlobal &&
-      options.autotune != AutotuneMode::kOff) {
-    throw UsageError(
-        "--route=" + to_string(options.route) + " conflicts with --autotune=" +
-        to_string(options.autotune) +
-        " (the tile router tunes the global threshold itself; drop one)");
-  }
   options.datasets_explicit = !options.datasets.empty();
   if (options.datasets.empty()) options.datasets = paper_datasets();
   return options;

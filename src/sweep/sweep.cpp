@@ -24,8 +24,6 @@ std::vector<SweepCell> SweepSpec::cells() const {
   HYMM_CHECK_MSG(!configs.empty(), "SweepSpec with no configs");
   HYMM_CHECK_MSG(!flows.empty(), "SweepSpec with no flows");
   HYMM_CHECK_MSG(dataset_count > 0, "SweepSpec with no workloads");
-  HYMM_CHECK_MSG(routes.empty() || routes.size() == configs.size(),
-                 "SweepSpec.routes must be empty or parallel to configs");
   const auto expand = [&](const DatasetSpec& spec, double effective_scale,
                           std::shared_ptr<const PreparedWorkload> prepared) {
     for (std::size_t c = 0; c < configs.size(); ++c) {
@@ -39,7 +37,6 @@ std::vector<SweepCell> SweepSpec::cells() const {
         cell.config = configs[c];
         cell.flow = flow;
         cell.prepared = prepared;
-        if (!routes.empty()) cell.route = routes[c];
         cells.push_back(std::move(cell));
       }
     }
@@ -185,7 +182,6 @@ SweepRun SweepRunner::run(const SweepSpec& spec) {
       if (cell.flow == Dataflow::kHybrid) {
         request.sort = &prepared->sort();
         request.sorted_features = &prepared->sorted_features();
-        request.route = cell.route.get();
       }
       SweepCellResult& slot = run.cells[index];
       slot.cell = cell;

@@ -46,10 +46,6 @@ struct SweepCell {
   /// Pre-built workload (set when the spec came from
   /// SweepSpec::workloads); null cells build through the cache.
   std::shared_ptr<const PreparedWorkload> prepared;
-  /// Per-tile routing map for this cell's config
-  /// (SweepSpec::routes[config_index]); null = global split. Hybrid
-  /// cells forward it to ExperimentRequest::route.
-  std::shared_ptr<const TileRoutingMap> route;
 };
 
 /// The grid: datasets x configs x flows at one (scale, seed). The
@@ -64,12 +60,6 @@ struct SweepSpec {
   std::vector<Dataflow> flows = {Dataflow::kOuterProduct,
                                  Dataflow::kRowWiseProduct,
                                  Dataflow::kHybrid};
-  /// Per-config routing maps (core/routing.hpp), parallel to
-  /// `configs`: routes[i] is attached to every cell of configs[i]
-  /// (null entries and an empty vector mean the global split). This
-  /// is how the TileRouter's measured mode races a routed candidate
-  /// against the global one through the executor.
-  std::vector<std::shared_ptr<const TileRoutingMap>> routes;
   /// Scale applied to every dataset; nullopt selects each dataset's
   /// default_scale. Ignored for pre-built workloads.
   std::optional<double> scale;

@@ -97,222 +97,4 @@ std::vector<CostEstimate> estimate_candidates(
   return out;
 }
 
-TileStats collect_tile_stats(const CsrMatrix& sorted_adjacency,
-                             NodeId tile_edge, NodeId hot_cols) {
-  HYMM_CHECK(sorted_adjacency.rows() == sorted_adjacency.cols());
-  HYMM_CHECK(tile_edge > 0);
-  TileStats s;
-  s.nodes = sorted_adjacency.rows();
-  s.tile = tile_edge;
-  s.grid_rows = (s.nodes + tile_edge - 1) / tile_edge;
-  s.grid_cols = s.grid_rows;
-  s.hot_cols = hot_cols;
-  s.nnz.assign(s.grid_rows * s.grid_cols, 0);
-  s.hot_nnz.assign(s.grid_rows * s.grid_cols, 0);
-  for (NodeId r = 0; r < s.nodes; ++r) {
-    const std::size_t band = (r / tile_edge) * s.grid_cols;
-    for (const NodeId c : sorted_adjacency.row_cols(r)) {
-      const std::size_t cell = band + c / tile_edge;
-      ++s.nnz[cell];
-      if (c < hot_cols) {
-        ++s.hot_nnz[cell];
-      }
-    }
-  }
-  return s;
-}
-
-namespace {
-
-// Coupon-collector estimate of the distinct values drawn by `nnz`
-// samples over a `universe`-sized range (the same estimate the global
-// model applies to region-1 columns, here per tile / per band).
-double expected_distinct(double nnz, double universe) {
-  return universe > 0.0 ? universe * (1.0 - std::exp(-nnz / universe)) : 0.0;
-}
-
-// Width of column band `j` (the last band may be cut short).
-double band_width(const TileStats& stats, std::size_t j) {
-  const NodeId begin = static_cast<NodeId>(j) * stats.tile;
-  const NodeId end =
-      std::min<NodeId>(begin + stats.tile, stats.nodes);
-  return static_cast<double>(end - begin);
-}
-
-}  // namespace
-
-TileRoutingMap route_tiles_by_cost(const TileStats& stats,
-                                   const RegionPartition& partition,
-                                   const AcceleratorConfig& config,
-                                   std::size_t dense_cols) {
-  HYMM_CHECK(stats.nodes == partition.nodes);
-  HYMM_CHECK(stats.hot_cols == partition.region2_cols);
-  TileRoutingMap map = degenerate_routing_map(partition, stats.tile);
-  HYMM_CHECK(map.grid_rows == stats.grid_rows && map.tile == stats.tile);
-  const double row_bytes =
-      static_cast<double>(dense_row_lines(dense_cols) * kLineBytes);
-  map.tile_nnz = stats.nnz;
-  map.tile_predicted_cycles.assign(map.flows.size(), 0.0);
-
-  const double bw = static_cast<double>(config.dram_bytes_per_cycle);
-  for (std::size_t i = 0; i < map.grid_rows; ++i) {
-    const NodeId row_begin = static_cast<NodeId>(i) * map.tile;
-    if (row_begin >= map.op_rows) {
-      break;  // bands past the pinned prefix are RWP already
-    }
-    const NodeId row_end = std::min<NodeId>(row_begin + map.tile, map.nodes);
-    // Only the prefix share of a straddling band is up for routing;
-    // rows past op_rows run RWP regardless of the tile flow.
-    const double height = static_cast<double>(row_end - row_begin);
-    const double prefix_height =
-        static_cast<double>(std::min(row_end, map.op_rows) - row_begin);
-    const double prefix_frac = prefix_height / height;
-    for (std::size_t j = 0; j < map.grid_cols; ++j) {
-      const std::size_t cell = i * map.grid_cols + j;
-      const double nnz =
-          static_cast<double>(stats.nnz[cell]) * prefix_frac;
-      const double cold =
-          static_cast<double>(stats.nnz[cell] - stats.hot_nnz[cell]) *
-          prefix_frac;
-      const double op_bytes =
-          expected_distinct(nnz, band_width(stats, j)) * row_bytes;
-      const double rwp_bytes =
-          cold * row_bytes +
-          expected_distinct(nnz, prefix_height) * row_bytes;
-      // Strictly-cheaper displaces: ties (including empty tiles) keep
-      // the degenerate OP choice.
-      if (rwp_bytes < op_bytes) {
-        map.flows[cell] = TileFlow::kRwp;
-        map.degenerate = false;
-      }
-      map.tile_predicted_cycles[cell] =
-          std::min(op_bytes, rwp_bytes) / bw;
-    }
-  }
-  // RWP bands: report the cold-miss roofline share per tile.
-  for (std::size_t i = 0; i < map.grid_rows; ++i) {
-    const NodeId row_begin = static_cast<NodeId>(i) * map.tile;
-    for (std::size_t j = 0; j < map.grid_cols; ++j) {
-      const std::size_t cell = i * map.grid_cols + j;
-      if (map.flows[cell] != TileFlow::kRwp || row_begin < map.op_rows) {
-        continue;
-      }
-      const double cold =
-          static_cast<double>(stats.nnz[cell] - stats.hot_nnz[cell]);
-      map.tile_predicted_cycles[cell] = cold * row_bytes / bw;
-    }
-  }
-  return map;
-}
-
-CostEstimate estimate_routed_cost(const TileStats& stats,
-                                  const TileRoutingMap& map,
-                                  const AcceleratorConfig& config,
-                                  std::size_t dense_cols) {
-  map.validate();
-  HYMM_CHECK(stats.nodes == map.nodes && stats.tile == map.tile);
-  HYMM_CHECK(stats.hot_cols == map.region2_cols);
-
-  const std::size_t lines = dense_row_lines(dense_cols);
-  const double row_bytes = static_cast<double>(lines * kLineBytes);
-  const double n = static_cast<double>(map.nodes);
-  const double r1 = static_cast<double>(map.op_rows);
-  const double c2 = static_cast<double>(map.region2_cols);
-
-  // OP-routed nonzeros accumulated per column band (the OP engine
-  // streams region-1 CSC column by column, so distinct columns are
-  // fetched once across the whole prefix); RWP-routed nonzeros split
-  // hot/cold, with the prefix share of each straddling band
-  // apportioned proportionally.
-  std::vector<double> op_col_nnz(map.grid_cols, 0.0);
-  std::vector<double> prefix_rwp_nnz(map.grid_rows, 0.0);
-  double total_nnz = 0.0;
-  double op_nnz = 0.0;
-  double rwp_hot = 0.0;
-  double rwp_cold = 0.0;
-  for (std::size_t i = 0; i < map.grid_rows; ++i) {
-    const NodeId row_begin = static_cast<NodeId>(i) * map.tile;
-    const NodeId row_end = std::min<NodeId>(row_begin + map.tile, map.nodes);
-    const double height = static_cast<double>(row_end - row_begin);
-    const double prefix_frac =
-        row_begin >= map.op_rows
-            ? 0.0
-            : static_cast<double>(std::min(row_end, map.op_rows) -
-                                  row_begin) /
-                  height;
-    for (std::size_t j = 0; j < map.grid_cols; ++j) {
-      const std::size_t cell = i * map.grid_cols + j;
-      const double nnz = static_cast<double>(stats.nnz[cell]);
-      const double hot = static_cast<double>(stats.hot_nnz[cell]);
-      total_nnz += nnz;
-      const bool op_tile = map.flows[cell] == TileFlow::kOp;
-      const double to_op = op_tile ? nnz * prefix_frac : 0.0;
-      const double to_rwp = nnz - to_op;
-      op_col_nnz[j] += to_op;
-      op_nnz += to_op;
-      const double rwp_share = nnz > 0.0 ? to_rwp / nnz : 0.0;
-      rwp_hot += hot * rwp_share;
-      rwp_cold += (nnz - hot) * rwp_share;
-      if (!op_tile && prefix_frac > 0.0) {
-        prefix_rwp_nnz[i] += nnz * prefix_frac;
-      }
-    }
-  }
-
-  CostEstimate e;
-  e.threshold = n > 0.0 ? r1 / n : 0.0;
-  e.partition.nodes = map.nodes;
-  e.partition.region1_rows = map.op_rows;
-  e.partition.region2_cols = map.region2_cols;
-  e.partition.nnz_region1 = static_cast<EdgeCount>(op_nnz + 0.5);
-  e.partition.nnz_region2 = static_cast<EdgeCount>(rwp_hot + 0.5);
-  e.partition.nnz_region3 = static_cast<EdgeCount>(rwp_cold + 0.5);
-
-  // OP phase: one fetch per expected distinct column per band, plus
-  // the one-shot writeback of the r1 finished rows.
-  double distinct1 = 0.0;
-  for (std::size_t j = 0; j < map.grid_cols; ++j) {
-    distinct1 += expected_distinct(op_col_nnz[j], band_width(stats, j));
-  }
-  e.op_bytes = distinct1 * row_bytes + r1 * row_bytes;
-
-  // RWP phase: hot rows fill once (the c2 clamp guarantees they fit),
-  // the cold tail pessimistically all-misses.
-  e.rwp_hot_bytes = c2 * row_bytes;
-  e.rwp_cold_bytes = rwp_cold * row_bytes;
-
-  // Mixed rows — prefix rows populated by RWP-routed tiles — are
-  // written back by the OP unpin *and* stored again by the RWP
-  // write-through path; charge the extra store per expected populated
-  // row.
-  double mixed_row_stores = 0.0;
-  for (std::size_t i = 0; i < map.grid_rows; ++i) {
-    if (prefix_rwp_nnz[i] <= 0.0) {
-      continue;
-    }
-    const NodeId row_begin = static_cast<NodeId>(i) * map.tile;
-    const NodeId row_end = std::min<NodeId>(row_begin + map.tile, map.nodes);
-    const double prefix_height =
-        static_cast<double>(std::min(row_end, map.op_rows) - row_begin);
-    mixed_row_stores += expected_distinct(prefix_rwp_nnz[i], prefix_height);
-  }
-
-  const double adjacency_bytes = total_nnz * 8.0;
-  const double rwp_output_bytes =
-      (n - r1) * row_bytes + mixed_row_stores * row_bytes;
-  e.dram_bytes = e.op_bytes + e.rwp_hot_bytes + e.rwp_cold_bytes +
-                 adjacency_bytes + rwp_output_bytes;
-
-  e.compute_cycles = total_nnz * static_cast<double>(lines);
-  e.memory_cycles =
-      e.dram_bytes / static_cast<double>(config.dram_bytes_per_cycle);
-  const double cold_misses = distinct1 + c2 + rwp_cold;
-  e.latency_cycles = cold_misses *
-                     static_cast<double>(config.dram_latency) /
-                     static_cast<double>(config.dmb_mshr_entries);
-  e.cycles =
-      std::max({e.compute_cycles, e.memory_cycles, e.latency_cycles});
-  return e;
-}
-
 }  // namespace hymm

@@ -23,11 +23,9 @@
 #pragma once
 
 #include <cstddef>
-#include <cstdint>
 #include <vector>
 
 #include "common/config.hpp"
-#include "core/routing.hpp"
 #include "graph/csr.hpp"
 #include "graph/partition.hpp"
 
@@ -73,54 +71,5 @@ CostEstimate estimate_hybrid_cost(const CsrMatrix& sorted_adjacency,
 std::vector<CostEstimate> estimate_candidates(
     const CsrMatrix& sorted_adjacency, const AcceleratorConfig& config,
     const std::vector<double>& thresholds, std::size_t dense_cols);
-
-/// Per-tile nonzero statistics over the routing grid — one CSR pass,
-/// shared by the per-tile scoring and the routed roofline below. The
-/// grid geometry matches TileRoutingMap / the spatial heatmap
-/// (obs/spatial.hpp's `spatial_tile_edge`). Derivation:
-/// docs/routing.md.
-struct TileStats {
-  NodeId nodes = 0;          ///< adjacency dimension
-  NodeId tile = 0;           ///< tile edge in nodes
-  std::size_t grid_rows = 0; ///< ceil(nodes / tile)
-  std::size_t grid_cols = 0; ///< ceil(nodes / tile)
-  NodeId hot_cols = 0;       ///< hot-column boundary the split used
-  /// Nonzeros per tile, row-major over the grid.
-  std::vector<std::uint64_t> nnz;
-  /// Nonzeros per tile with column below `hot_cols` (the region-2
-  /// "hot" share; the remainder is the pessimistic all-miss tail).
-  std::vector<std::uint64_t> hot_nnz;
-};
-
-/// One pass over the sorted adjacency binning nonzeros into the
-/// `tile_edge` grid, splitting each tile's count at `hot_cols`.
-TileStats collect_tile_stats(const CsrMatrix& sorted_adjacency,
-                             NodeId tile_edge, NodeId hot_cols);
-
-/// Scores OP-vs-RWP per tile on `partition`'s boundaries and returns
-/// the routing map: tiles in the pinned prefix keep OP only while the
-/// per-tile roofline bytes favor it, everything else routes RWP.
-/// Per-tile byte scores (docs/routing.md):
-///   OP:  distinct-column coupon-collector within the tile's column
-///        band — w * (1 - exp(-nnz / w)) XW-row fetches;
-///   RWP: the tile's cold (past-hot-boundary) nonzeros all miss, plus
-///        one extra output writeback per prefix row the tile
-///        populates (mixed rows are stored by both phases).
-/// Ties keep the degenerate OP choice, so an all-OP-favored graph
-/// reproduces the global split exactly (map.degenerate == true).
-TileRoutingMap route_tiles_by_cost(const TileStats& stats,
-                                   const RegionPartition& partition,
-                                   const AcceleratorConfig& config,
-                                   std::size_t dense_cols);
-
-/// Roofline estimate of the aggregation cycles under a routing map —
-/// the routed generalization of estimate_hybrid_cost, used by the
-/// TileRouter to compare a candidate map against the degenerate one
-/// with the same estimator (apples to apples). Straddling tile bands
-/// are split proportionally between the phases.
-CostEstimate estimate_routed_cost(const TileStats& stats,
-                                  const TileRoutingMap& map,
-                                  const AcceleratorConfig& config,
-                                  std::size_t dense_cols);
 
 }  // namespace hymm

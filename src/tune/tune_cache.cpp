@@ -60,8 +60,6 @@ std::string TuneCache::to_json() const {
     w.field("threshold", e.threshold);
     w.field("cycles", e.cycles);
     w.field("dataset", e.dataset);
-    w.field("route_kind", e.route_kind);
-    w.field("tile", e.tile);
     w.end_object();
   }
   w.end_array();
@@ -98,8 +96,6 @@ void TuneCache::load_locked() {
     e.threshold = threshold->number_value;
     e.cycles = item.get_number("cycles");
     e.dataset = item.get_string("dataset");
-    e.route_kind = item.get_string("route_kind");
-    e.tile = static_cast<std::uint64_t>(item.get_number("tile"));
     entries_.push_back(std::move(e));
   }
 }

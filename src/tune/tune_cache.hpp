@@ -1,13 +1,9 @@
 /// @file
-/// Persisted tuning decisions (`hymm-tune-cache/2` JSON; spec in
+/// Persisted tuning decisions (`hymm-tune-cache/3` JSON; spec in
 /// docs/schemas.md). A cache file maps (graph fingerprint, config
 /// hash, mode) to the tuned threshold, so a second `--autotune`
 /// invocation on the same workload skips the candidate search
-/// entirely — for measured mode that means zero simulations. The
-/// per-tile router (tune/router.hpp) shares the same key space under
-/// "route:analytic" / "route:measured" modes, persisting a compact
-/// map descriptor (route_kind + tile edge + threshold) from which the
-/// routing map is rebuilt deterministically on a hit.
+/// entirely — for measured mode that means zero simulations.
 ///
 /// Invalidation is structural, not temporal: a key is the exact
 /// identity of the tuned question, so any change to the graph or the
@@ -33,13 +29,6 @@ struct TuneCacheEntry {
   double threshold = 0.0;               ///< the tuned tiling threshold
   double cycles = 0.0;     ///< winning cycles (measured) or estimate
   std::string dataset;     ///< informational label, not part of the key
-  /// Router verdict: "" for plain threshold decisions, "global" when
-  /// the degenerate map won, "tiles" when the per-tile map did
-  /// (hymm-tune-cache/2).
-  std::string route_kind;
-  /// Routing-grid tile edge in nodes the verdict was computed on; 0
-  /// for plain threshold decisions.
-  std::uint64_t tile = 0;
 };
 
 /// Thread-safe load/lookup/insert over one cache file. All methods
@@ -47,9 +36,9 @@ struct TuneCacheEntry {
 class TuneCache {
  public:
   /// Schema identifier written to and required from cache files.
-  /// Files declaring the retired /1 schema are treated as empty
+  /// Files declaring the retired /1 or /2 schemas are treated as empty
   /// (structural invalidation — a miss, never an error).
-  static constexpr const char* kSchema = "hymm-tune-cache/2";
+  static constexpr const char* kSchema = "hymm-tune-cache/3";
 
   /// Binds the cache to `path` and loads whatever valid entries the
   /// file holds. An empty path makes the cache memory-only (nothing
@@ -70,7 +59,7 @@ class TuneCache {
 
   const std::string& path() const { return path_; }  ///< bound file; empty = memory-only
 
-  /// Serializes the current entries as a `hymm-tune-cache/2`
+  /// Serializes the current entries as a `hymm-tune-cache/3`
   /// document (exposed for tests; insert() calls it internally).
   std::string to_json() const;
 

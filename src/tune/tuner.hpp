@@ -79,7 +79,7 @@ TuneInfo to_tune_info(const TuneDecision& decision);
 /// measured searches use their own SweepRunner.
 class Tuner {
  public:
-  /// `cache_path` — the `hymm-tune-cache/2` file to load and persist
+  /// `cache_path` — the `hymm-tune-cache/3` file to load and persist
   /// decisions in; empty keeps decisions in memory only.
   explicit Tuner(std::string cache_path = {});
 

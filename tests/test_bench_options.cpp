@@ -179,6 +179,9 @@ TEST(BenchOptionsTest, UnrecognizedFlagsPassThrough) {
 TEST(BenchOptionsTest, UnknownFlagIsErrorWithoutPassthrough) {
   const std::string err = error_of({"--frobnicate"});
   EXPECT_NE(err.find("--frobnicate"), std::string::npos) << err;
+  // The retired per-tile routing knob is unknown, not a silent no-op.
+  const std::string route = error_of({"--route=tiles"});
+  EXPECT_NE(route.find("--route"), std::string::npos) << route;
 }
 
 TEST(BenchOptionsTest, MissingValueIsError) {
@@ -275,57 +278,6 @@ TEST(BenchOptionsTest, SampleKnob) {
   const std::string env_err = error_of({}, {{"HYMM_SAMPLE", "lots"}});
   EXPECT_NE(env_err.find("HYMM_SAMPLE"), std::string::npos) << env_err;
   EXPECT_NE(env_err.find("lots"), std::string::npos) << env_err;
-}
-
-// Routing knob: global by default, bare --route means tiles:analytic
-// (and never consumes the following argument), bad values fail fast
-// naming the source, and combining the router with the threshold
-// auto-tuner is a contradiction the parser rejects.
-TEST(BenchOptionsTest, RouteKnob) {
-  EXPECT_EQ(parse({}).route, RouteMode::kGlobal);
-
-  EXPECT_EQ(parse({"--route"}).route, RouteMode::kTilesAnalytic);
-  EXPECT_EQ(parse({"--route=global"}).route, RouteMode::kGlobal);
-  EXPECT_EQ(parse({"--route=tiles"}).route, RouteMode::kTilesAnalytic);
-  EXPECT_EQ(parse({"--route=tiles:analytic"}).route,
-            RouteMode::kTilesAnalytic);
-  EXPECT_EQ(parse({"--route=tiles:measured"}).route,
-            RouteMode::kTilesMeasured);
-
-  std::vector<std::string> rest;
-  const BenchOptions bare = parse({"--route", "--seed=9"}, {}, &rest);
-  EXPECT_EQ(bare.route, RouteMode::kTilesAnalytic);
-  EXPECT_EQ(bare.seed, 9u);
-  EXPECT_TRUE(rest.empty());
-
-  EXPECT_EQ(parse({}, {{"HYMM_ROUTE", "tiles:measured"}}).route,
-            RouteMode::kTilesMeasured);
-  // Flags win over the environment.
-  EXPECT_EQ(parse({"--route=global"}, {{"HYMM_ROUTE", "tiles"}}).route,
-            RouteMode::kGlobal);
-
-  const std::string err = error_of({}, {{"HYMM_ROUTE", "mesh"}});
-  EXPECT_NE(err.find("mesh"), std::string::npos) << err;
-  EXPECT_NE(err.find("HYMM_ROUTE"), std::string::npos) << err;
-  EXPECT_NE(error_of({"--route=banana"}), "");
-}
-
-// The router tunes the global threshold itself, so combining it with
-// --autotune is ambiguous and must be rejected naming both knobs.
-TEST(BenchOptionsTest, RouteConflictsWithAutotune) {
-  const std::string err = error_of({"--route=tiles", "--autotune=analytic"});
-  EXPECT_NE(err.find("--route"), std::string::npos) << err;
-  EXPECT_NE(err.find("--autotune"), std::string::npos) << err;
-
-  const std::string env_err =
-      error_of({}, {{"HYMM_ROUTE", "tiles"}, {"HYMM_AUTOTUNE", "measured"}});
-  EXPECT_NE(env_err, "");
-
-  // Either knob alone (or autotune explicitly off) is fine.
-  EXPECT_EQ(parse({"--route=tiles", "--autotune=off"}).route,
-            RouteMode::kTilesAnalytic);
-  EXPECT_EQ(parse({"--autotune=analytic"}).autotune,
-            AutotuneMode::kAnalytic);
 }
 
 // Checkpoint-directory knob: validated eagerly at parse time — the

@@ -288,23 +288,28 @@ TEST(TuneCache, CorruptOrForeignFilesAreIgnored) {
   EXPECT_EQ(TuneCache(foreign).size(), 0u);
 
   // Previous-schema files are structurally invalidated (the /2 bump
-  // added routing fields), not parsed best-effort.
-  const std::string outdated = temp_path("tune_cache_v1.json");
-  {
-    std::ofstream out(outdated);
-    out << R"({"schema": "hymm-tune-cache/1", "entries": [)"
-        << R"({"graph_fingerprint": "0x0000000000000001",)"
-        << R"( "config_hash": "0x0000000000000002",)"
-        << R"( "mode": "analytic", "threshold": 0.15}]})"
-        << "\n";
+  // added routing fields, the /3 bump removed them), not parsed
+  // best-effort.
+  for (const std::string version : {"1", "2"}) {
+    const std::string outdated =
+        temp_path("tune_cache_v" + version + ".json");
+    {
+      std::ofstream out(outdated);
+      out << R"({"schema": "hymm-tune-cache/)" << version
+          << R"(", "entries": [)"
+          << R"({"graph_fingerprint": "0x0000000000000001",)"
+          << R"( "config_hash": "0x0000000000000002",)"
+          << R"( "mode": "analytic", "threshold": 0.15}]})"
+          << "\n";
+    }
+    EXPECT_EQ(TuneCache(outdated).size(), 0u) << "schema /" << version;
   }
-  EXPECT_EQ(TuneCache(outdated).size(), 0u);
 
   // Malformed entries are skipped individually, valid ones kept.
   const std::string partial = temp_path("tune_cache_partial.json");
   {
     std::ofstream out(partial);
-    out << R"({"schema": "hymm-tune-cache/2", "entries": [)"
+    out << R"({"schema": "hymm-tune-cache/3", "entries": [)"
         << R"({"mode": "measured"},)"
         << R"({"graph_fingerprint": "0x0000000000000001",)"
         << R"( "config_hash": "0x0000000000000002",)"
