@@ -31,7 +31,6 @@
 #include "sim/checkpoint.hpp"
 #include "sweep/bench_options.hpp"
 #include "sweep/sweep.hpp"
-#include "tune/tuner.hpp"
 
 namespace hymm::bench {
 
@@ -185,101 +184,6 @@ inline std::vector<DataflowComparison> run_datasets(
   std::vector<std::vector<DataflowComparison>> by_config =
       run_config_sweep(opts, {config}, flows);
   return std::move(by_config.front());
-}
-
-// Auto-tuned variant of run_datasets (opts.autotune != kOff): tunes
-// each dataset's hybrid tiling threshold with the requested mode
-// (decisions persisted in opts.tune_cache when set), then simulates
-// the dataset's flows under its tuned config. The tuned threshold is
-// per dataset, so datasets run as successive single-workload sweeps
-// — the one prepared workload is shared immutably between the
-// tuner's candidate cells and the final run. Hybrid results carry
-// the TuneInfo annotation; `decisions_out` (optional) receives one
-// decision per dataset in selection order.
-inline std::vector<DataflowComparison> run_autotuned_datasets(
-    const BenchOptions& opts, const AcceleratorConfig& base = {},
-    const std::vector<Dataflow>& flows = {Dataflow::kOuterProduct,
-                                          Dataflow::kRowWiseProduct,
-                                          Dataflow::kHybrid},
-    std::vector<TuneDecision>* decisions_out = nullptr) {
-  Tuner tuner(opts.tune_cache);
-  WorkloadCache cache;
-  // Opt-in warm-state checkpoints; the tuner's measured mode is the
-  // big win — every candidate shares one combination checkpoint.
-  CheckpointStore checkpoints(opts.checkpoint_dir);
-  CheckpointStore* store =
-      opts.checkpoint_dir.empty() ? nullptr : &checkpoints;
-  std::vector<DataflowComparison> out;
-  for (const DatasetSpec& dataset : opts.datasets) {
-    const double scale = opts.scale_for(dataset);
-    std::cerr << "[bench] tuning " << dataset.abbrev << " at scale " << scale
-              << " (" << to_string(opts.autotune) << ") ..." << std::endl;
-    const std::shared_ptr<const PreparedWorkload> prepared =
-        cache.get(dataset, scale, opts.seed);
-    const TuneDecision decision =
-        tuner.tune(prepared, base, opts.autotune, opts.threads, store);
-    std::cerr << "[bench]   threshold " << decision.fixed_threshold << " -> "
-              << decision.threshold
-              << (decision.cache_hit ? " (cache hit)" : "") << "\n";
-
-    SweepSpec spec;
-    spec.workloads = {prepared};
-    spec.configs = {Tuner::apply(base, decision)};
-    spec.flows = flows;
-    spec.seed = opts.seed;
-
-    SweepOptions sweep_options;
-    sweep_options.threads = opts.threads;
-    sweep_options.observe = opts.observing();
-    sweep_options.observer_options.trace = !opts.trace_dir.empty();
-    sweep_options.observer_options.timeseries =
-        opts.timeseries_interval > 0;
-    if (opts.timeseries_interval > 0) {
-      sweep_options.observer_options.timeseries_interval =
-          opts.timeseries_interval;
-    }
-    sweep_options.observer_options.spatial = opts.spatial_tile > 0;
-    sweep_options.observer_options.spatial_tile =
-        opts.spatial_tile >= 2 ? static_cast<NodeId>(opts.spatial_tile) : 0;
-    sweep_options.group_key = [](const SweepCell&) {
-      return std::string("all");
-    };
-    sweep_options.sample = opts.sample;
-    sweep_options.checkpoints = store;
-    SweepRunner runner(sweep_options);
-    const SweepRun run = runner.run(spec);
-
-    DataflowComparison comparison;
-    comparison.spec = run.cells.front().scaled_spec;
-    comparison.scale = run.cells.front().cell.scale;
-    for (const SweepCellResult& cell : run.cells) {
-      ExperimentResult r = cell.result;
-      if (r.flow == Dataflow::kHybrid) r.tune = to_tune_info(decision);
-      comparison.results.push_back(std::move(r));
-    }
-    check_verified(comparison);
-    if (opts.observing() && run.groups.front().observer != nullptr) {
-      write_group_artifacts(opts, comparison, *run.groups.front().observer,
-                            "");
-    }
-    if (decisions_out != nullptr) decisions_out->push_back(decision);
-    out.push_back(std::move(comparison));
-  }
-  return out;
-}
-
-// Mode dispatch shared by drivers that honour the split-policy knob:
-// the threshold auto-tuner when --autotune is on, else the plain
-// fixed-threshold sweep.
-inline std::vector<DataflowComparison> run_datasets_with_policy(
-    const BenchOptions& opts, const AcceleratorConfig& base = {},
-    const std::vector<Dataflow>& flows = {Dataflow::kOuterProduct,
-                                          Dataflow::kRowWiseProduct,
-                                          Dataflow::kHybrid}) {
-  if (opts.autotune != AutotuneMode::kOff) {
-    return run_autotuned_datasets(opts, base, flows);
-  }
-  return run_datasets(opts, base, flows);
 }
 
 }  // namespace hymm::bench

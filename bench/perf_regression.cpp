@@ -10,11 +10,7 @@
 // output path defaults to BENCH_<rev>.json in the working directory.
 // Dataset selection, scaling and sweep parallelism follow the shared
 // bench knobs (HYMM_DATASETS, HYMM_SCALE, HYMM_FULL_DATASETS,
-// HYMM_THREADS / --datasets, --scale, --threads, ...). With
-// --autotune[=analytic|measured] (HYMM_AUTOTUNE) the hybrid runs
-// under each dataset's tuned tiling threshold instead of the fixed
-// default — the CI autotune leg snapshots analytic-tuned cycles this
-// way and diffs them against a fixed-threshold snapshot.
+// HYMM_THREADS / --datasets, --scale, --threads, ...).
 #include <fstream>
 #include <iostream>
 #include <string>
@@ -53,7 +49,7 @@ int main(int argc, char** argv) {
   if (out_path.empty()) out_path = "BENCH_" + rev + ".json";
 
   const std::vector<DataflowComparison> comparisons =
-      bench::run_datasets_with_policy(opts);
+      bench::run_datasets(opts);
 
   const auto write_stalls = [](JsonWriter& w, const SimStats& s) {
     w.key("stalls");

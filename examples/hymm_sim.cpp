@@ -34,8 +34,6 @@
 #include "sim/checkpoint.hpp"
 #include "sweep/bench_options.hpp"
 #include "sweep/sweep.hpp"
-#include "tune/tune_cache.hpp"
-#include "tune/tuner.hpp"
 
 namespace {
 
@@ -56,10 +54,6 @@ void usage() {
       "  --threads <n>        sweep workers (default: HYMM_THREADS/auto)\n"
       "  --dmb-kb <n>         DMB capacity in KB (default 256)\n"
       "  --tiling <0..1>      tiling threshold (default 0.2)\n"
-      "  --autotune[=mode]    tune the hybrid tiling threshold per graph\n"
-      "                       (analytic|measured; bare = measured)\n"
-      "  --tune-cache <file>  persist tuner decisions\n"
-      "                       (hymm-tune-cache/3)\n"
       "  --fifo               FIFO eviction instead of LRU\n"
       "  --no-accumulator     disable the near-memory accumulator\n"
       "  --csv <file>         append machine-readable results\n"
@@ -84,8 +78,7 @@ void usage() {
 void print_version() {
   std::cout << "hymm_sim\n"
             << "  run-report schema: " << kRunReportSchema << '\n'
-            << "  bench schema:      " << kBenchSchema << '\n'
-            << "  tune-cache schema: " << TuneCache::kSchema << '\n';
+            << "  bench schema:      " << kBenchSchema << '\n';
 }
 
 std::optional<Dataflow> parse_flow(const std::string& s) {
@@ -218,24 +211,6 @@ int main(int argc, char** argv) {
             << prepared->workload().adjacency.nnz() << " edges, "
             << prepared->workload().features.cols() << " features\n\n";
 
-  // --- Auto-tune the hybrid tiling threshold (src/tune/) ---
-  TuneDecision tune_decision;
-  if (opts.autotune != AutotuneMode::kOff) {
-    Tuner tuner(opts.tune_cache);
-    tune_decision =
-        tuner.tune(prepared, config, opts.autotune, opts.threads);
-    config = Tuner::apply(config, tune_decision);
-    std::cout << "Autotune (" << to_string(tune_decision.mode)
-              << "): threshold " << tune_decision.fixed_threshold << " -> "
-              << tune_decision.threshold
-              << (tune_decision.cache_hit ? " (cache hit)" : "");
-    if (tune_decision.simulations > 0) {
-      std::cout << " after " << tune_decision.simulations
-                << " candidate simulations";
-    }
-    std::cout << "\n\n";
-  }
-
   // --- Run the flows as one sweep ---
   SweepSpec sweep_spec;
   sweep_spec.workloads = {prepared};
@@ -275,11 +250,7 @@ int main(int argc, char** argv) {
 
   std::vector<ExperimentResult> results;
   for (const SweepCellResult& cell : run.cells) {
-    ExperimentResult r = cell.result;
-    if (opts.autotune != AutotuneMode::kOff &&
-        r.flow == Dataflow::kHybrid) {
-      r.tune = to_tune_info(tune_decision);
-    }
+    const ExperimentResult& r = cell.result;
     if (r.sample.enabled) {
       // Sampled runs produce no functional output, so there is
       // nothing to verify — label the estimate instead.

@@ -9,7 +9,10 @@ honest in both directions:
     (src/sweep/bench_options.cpp) owns must appear in the handbook's
     knob table;
   * every flag / env var named in the handbook's table must appear in
-    the parser source — no documenting knobs that do not exist.
+    the parser source — no documenting knobs that do not exist;
+  * every env var in the handbook's "Retired knobs" table must appear
+    in the parser source (which rejects it), and must not also be
+    documented as a live knob.
 
 Flags are recognized as string literals ("--datasets") in the parser
 and as `--flag` spellings in the table's first column; env vars as
@@ -29,6 +32,8 @@ FLAG_IN_SRC = re.compile(r'"(--[a-z][a-z0-9-]*)')
 ENV_IN_SRC = re.compile(r"\b(HYMM_[A-Z_]+)\b")
 # First two columns of a knob table row: | `--flag[...]` | `HYMM_X` or — |
 ROW = re.compile(r"^\|\s*`(--[a-z][a-z0-9-]*)[^`]*`\s*\|\s*(`HYMM_[A-Z_]+`|—)")
+# First column of a retired-knob row: | `HYMM_X` | `--old-flag` | ...
+RETIRED_ROW = re.compile(r"^\|\s*`(HYMM_[A-Z_]+)`\s*\|")
 
 
 def fail(message):
@@ -49,8 +54,11 @@ def documented_knobs(doc_path):
         lines = doc_path.read_text(encoding="utf-8").splitlines()
     except OSError as err:
         fail(f"cannot read {doc_path}: {err}")
-    flags, envs = set(), set()
+    flags, envs, retired = set(), set(), set()
     for line in lines:
+        if match := RETIRED_ROW.match(line.strip()):
+            retired.add(match.group(1))
+            continue
         match = ROW.match(line.strip())
         if not match:
             continue
@@ -59,7 +67,7 @@ def documented_knobs(doc_path):
             envs.add(match.group(2).strip("`"))
     if not flags:
         fail(f"{doc_path} has no knob table rows (format changed?)")
-    return flags, envs
+    return flags, envs, retired
 
 
 def main(argv):
@@ -73,25 +81,31 @@ def main(argv):
     args = parser.parse_args(argv[1:])
 
     src_flags, src_envs = parser_knobs(args.src)
-    doc_flags, doc_envs = documented_knobs(args.doc)
+    doc_flags, doc_envs, doc_retired = documented_knobs(args.doc)
 
     problems = []
     for flag in sorted(src_flags - doc_flags):
         problems.append(f"flag {flag} is parsed but missing from {args.doc}")
     for flag in sorted(doc_flags - src_flags):
         problems.append(f"flag {flag} is documented but not parsed")
-    for env in sorted(src_envs - doc_envs):
+    for env in sorted(src_envs - doc_envs - doc_retired):
         problems.append(f"env var {env} is parsed but missing from "
                         f"{args.doc}")
     for env in sorted(doc_envs - src_envs):
         problems.append(f"env var {env} is documented but not parsed")
+    for env in sorted(doc_retired - src_envs):
+        problems.append(f"retired env var {env} is documented but not "
+                        f"rejected by the parser")
+    for env in sorted(doc_retired & doc_envs):
+        problems.append(f"env var {env} is documented both as a knob and "
+                        f"as retired")
 
     for problem in problems:
         print(f"check_knobs: {problem}", file=sys.stderr)
     if problems:
         return 1
     print(f"check_knobs: OK — {len(doc_flags)} flags, {len(doc_envs)} env "
-          f"vars in sync")
+          f"vars, {len(doc_retired)} retired env vars in sync")
     return 0
 
 

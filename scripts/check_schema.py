@@ -23,11 +23,6 @@ structural requirements:
                           also the per-phase breakdown; /3 runs also
                           the "sampled" label (sampled runs carry
                           sample_fraction and sample_rel_error_bound).
-  hymm-tune-cache/3       "entries" array of cached tuner decisions;
-                          every entry carries hex graph_fingerprint
-                          and config_hash strings, a mode in
-                          {"analytic", "measured"} and a numeric
-                          threshold.
   hymm-serve-report/1     serve_bench output: "config", "classes",
                           "summary" (latency quantile blocks),
                           "traffic" (the DRAM conservation ledger,
@@ -53,8 +48,6 @@ RUN_REPORT_SCHEMAS = {
 BENCH_SCHEMAS = {"hymm-bench/1": 1, "hymm-bench/2": 2, "hymm-bench/3": 3}
 SAMPLE_PHASE_KEYS = ("bands_total", "bands_simulated", "nnz_total",
                      "nnz_simulated", "cycles_estimate", "cycles_stderr")
-TUNE_CACHE_SCHEMAS = {"hymm-tune-cache/3": 3}
-TUNE_MODES = ("analytic", "measured")
 SERVE_REPORT_SCHEMAS = {"hymm-serve-report/1": 1}
 
 RESULT_KEYS = ("dataset", "abbrev", "scale", "flow", "cycles", "verified")
@@ -289,26 +282,6 @@ def check_serve_report(doc, _version, problems):
                 f"{len(requests)}")
 
 
-def check_tune_cache(doc, version, problems):
-    entries = doc.get("entries")
-    if not isinstance(entries, list):
-        problems.append("missing \"entries\" array")
-        return
-    for i, entry in enumerate(entries):
-        if not isinstance(entry, dict):
-            problems.append(f"entries[{i}]: not an object")
-            continue
-        for key in ("graph_fingerprint", "config_hash"):
-            if not isinstance(entry.get(key), str):
-                problems.append(f"entries[{i}]: \"{key}\" is not a string")
-        if entry.get("mode") not in TUNE_MODES:
-            problems.append(
-                f"entries[{i}]: mode {entry.get('mode')!r} is not one of "
-                f"{', '.join(TUNE_MODES)}")
-        if not isinstance(entry.get("threshold"), (int, float)):
-            problems.append(f"entries[{i}]: \"threshold\" is not a number")
-
-
 def check_file(path):
     try:
         with open(path, encoding="utf-8") as f:
@@ -325,8 +298,6 @@ def check_file(path):
         check_run_report(doc, RUN_REPORT_SCHEMAS[schema], problems)
     elif schema in BENCH_SCHEMAS:
         check_bench(doc, BENCH_SCHEMAS[schema], problems)
-    elif schema in TUNE_CACHE_SCHEMAS:
-        check_tune_cache(doc, TUNE_CACHE_SCHEMAS[schema], problems)
     elif schema in SERVE_REPORT_SCHEMAS:
         check_serve_report(doc, SERVE_REPORT_SCHEMAS[schema], problems)
     else:

@@ -1,8 +1,7 @@
 // Single source of truth for the JSON schema versions this build
 // writes (docs/schemas.md has the specs). Readers that accept older
 // versions (obs/diff.cpp, scripts/perf_compare, scripts/
-// check_schema.py) list their own compatibility sets; the tune-cache
-// schema lives with its owner (TuneCache::kSchema).
+// check_schema.py) list their own compatibility sets.
 #pragma once
 
 namespace hymm {

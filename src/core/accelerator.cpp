@@ -75,7 +75,7 @@ CheckpointKey combination_checkpoint_key(const CsrMatrix& x_used,
   const bool op_combination = flow == Dataflow::kOuterProduct;
   workload = fingerprint_combine(workload,
                                  static_cast<std::uint64_t>(op_combination));
-  return CheckpointKey{workload, tuning_config_hash(config)};
+  return CheckpointKey{workload, timing_config_hash(config)};
 }
 
 

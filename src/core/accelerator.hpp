@@ -96,7 +96,8 @@ struct LayerRunRequest {
 /// kind the dataflow runs combination with, and the timing-model hash.
 /// `x_used` must be the matrix actually streamed (the degree-sorted
 /// features for hybrid runs). The tiling threshold is excluded via
-/// tuning_config_hash, so every tuner candidate shares one checkpoint.
+/// timing_config_hash, so runs that differ only in threshold share one
+/// checkpoint.
 CheckpointKey combination_checkpoint_key(const CsrMatrix& x_used,
                                          const DenseMatrix& w,
                                          const AcceleratorConfig& config,

@@ -201,30 +201,6 @@ void write_stats_json(JsonWriter& w, const SimStats& s) {
   w.end_object();
 }
 
-// Schema /4: how the tiling threshold was chosen (docs/tuning.md).
-// Only emitted when a tuner actually ran (tune.enabled).
-void write_tune_json(JsonWriter& w, const TuneInfo& t) {
-  w.begin_object();
-  w.field("mode", t.mode);
-  w.field("fixed_threshold", t.fixed_threshold);
-  w.field("threshold", t.threshold);
-  w.field("cache_hit", t.cache_hit);
-  w.field("simulations", t.simulations);
-  w.field("graph_fingerprint", t.graph_fingerprint);
-  w.field("config_hash", t.config_hash);
-  w.key("candidates");
-  w.begin_array();
-  for (const TuneCandidateInfo& c : t.candidates) {
-    w.begin_object();
-    w.field("threshold", c.threshold);
-    w.field("model_cycles", c.model_cycles);
-    w.field("measured_cycles", c.measured_cycles);
-    w.end_object();
-  }
-  w.end_array();
-  w.end_object();
-}
-
 // Schema /5: bounded-error quantile summary of one latency/duration
 // histogram (docs/schemas.md "histograms").
 void write_histogram_json(JsonWriter& w, const LogHistogram& h) {
@@ -450,10 +426,6 @@ void write_results_json(std::span<const ExperimentResult> results,
     if (r.flow == Dataflow::kHybrid) {
       w.key("partition");
       write_partition_json(w, r.partition);
-    }
-    if (r.tune.enabled) {
-      w.key("tune");
-      write_tune_json(w, r.tune);
     }
     w.key("stats");
     write_stats_json(w, r.stats);

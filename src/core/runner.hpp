@@ -17,33 +17,9 @@
 #include "obs/spatial.hpp"
 #include "obs/timeseries.hpp"
 
-/// Everything in the HyMM reproduction — simulator, graph pipeline,
-/// sweep harness and auto-tuner — lives in this namespace.
+/// Everything in the HyMM reproduction — simulator, graph pipeline
+/// and sweep harness — lives in this namespace.
 namespace hymm {
-
-/// One evaluated tuner candidate, as recorded in the run report.
-struct TuneCandidateInfo {
-  double threshold = 0.0;        ///< candidate tiling threshold
-  double model_cycles = 0.0;     ///< analytic cost-model estimate
-  double measured_cycles = 0.0;  ///< simulated cycles; 0 if not simulated
-};
-
-/// Driver-level annotation describing how a result's tiling threshold
-/// was chosen (src/tune/). Plain data: core does not depend on the
-/// tuner library — drivers that ran the tuner attach the decision to
-/// their hybrid results, and the JSON run report (hymm-run-report/4)
-/// serializes it under "tune".
-struct TuneInfo {
-  bool enabled = false;          ///< false = fixed config threshold
-  std::string mode;              ///< "analytic" | "measured"
-  double fixed_threshold = 0.0;  ///< baseline before tuning
-  double threshold = 0.0;        ///< threshold actually simulated
-  bool cache_hit = false;        ///< decision served from the tune cache
-  std::uint64_t simulations = 0; ///< candidate simulations this run paid
-  std::string graph_fingerprint; ///< hex digest of the tuned workload
-  std::string config_hash;       ///< hex digest of the timing config
-  std::vector<TuneCandidateInfo> candidates;  ///< search detail (empty on hits)
-};
 
 /// Distilled metrics of one simulated (dataset, dataflow, config)
 /// cell: the paper-figure numbers up front, full counter sets and
@@ -97,11 +73,6 @@ struct ExperimentResult {
   SimStats combination_stats;        ///< XW-phase counter delta
   SimStats aggregation_stats;        ///< aggregation-phase counter delta
   HybridAggregationInfo hybrid_info; ///< per-region stats (hybrid only)
-
-  /// How the tiling threshold was picked (tune.enabled=false means the
-  /// fixed config value was used). Filled by drivers, not by
-  /// run_experiment itself.
-  TuneInfo tune;
 
   /// Warm-state checkpoint interaction of the combination phase
   /// (sim/checkpoint.hpp); all-false unless the request passed a

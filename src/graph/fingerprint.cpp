@@ -1,7 +1,6 @@
 #include "graph/fingerprint.hpp"
 
 #include <bit>
-#include <cstdio>
 
 namespace hymm {
 
@@ -46,7 +45,7 @@ std::uint64_t graph_fingerprint(const CsrMatrix& matrix) {
   return d.value();
 }
 
-std::uint64_t tuning_config_hash(const AcceleratorConfig& c) {
+std::uint64_t timing_config_hash(const AcceleratorConfig& c) {
   Digest d;
   d.add(static_cast<std::uint64_t>(c.pe_count));
   d.add(static_cast<std::uint64_t>(c.lanes_per_pe));
@@ -70,33 +69,15 @@ std::uint64_t tuning_config_hash(const AcceleratorConfig& c) {
   d.add(static_cast<std::uint64_t>(c.dram_latency));
   d.add(static_cast<std::uint64_t>(c.dram_queue_entries));
   d.add(static_cast<std::uint64_t>(c.dram_write_buffer_lines));
-  // tiling_threshold deliberately omitted (it is the tuning output);
-  // dmb_pin_fraction stays in — it changes the clamp geometry.
+  // tiling_threshold deliberately omitted (it only shapes
+  // aggregation); dmb_pin_fraction stays in — it changes the clamp
+  // geometry.
   d.add(c.dmb_pin_fraction);
   return d.value();
 }
 
 std::uint64_t fingerprint_combine(std::uint64_t a, std::uint64_t b) {
   return mix64(a ^ mix64(b));
-}
-
-std::string fingerprint_hex(std::uint64_t digest) {
-  char buf[2 + 16 + 1];
-  std::snprintf(buf, sizeof(buf), "0x%016llx",
-                static_cast<unsigned long long>(digest));
-  return buf;
-}
-
-std::optional<std::uint64_t> parse_fingerprint_hex(std::string_view text) {
-  if (text.size() != 18 || text.substr(0, 2) != "0x") return std::nullopt;
-  std::uint64_t v = 0;
-  for (const char c : text.substr(2)) {
-    v <<= 4;
-    if (c >= '0' && c <= '9') v |= static_cast<std::uint64_t>(c - '0');
-    else if (c >= 'a' && c <= 'f') v |= static_cast<std::uint64_t>(c - 'a' + 10);
-    else return std::nullopt;
-  }
-  return v;
 }
 
 }  // namespace hymm

@@ -32,11 +32,12 @@
 namespace hymm {
 
 /// Which engine pass touched a tile. Mirrors the hybrid partition
-/// (docs/tuning.md): region 1 rows run OP, region 2 columns RWP with
-/// resident features, region 3 the RWP remainder. Pure OP / pure RWP
-/// aggregations attribute everything to kOp / kRwp; kOther holds
-/// grid-resident work that is not a MAC stream (unused as a focus —
-/// it is the serialization key for the residual bucket).
+/// (docs/architecture.md, "The partition clamp"): region 1 rows run
+/// OP, region 2 columns RWP with resident features, region 3 the RWP
+/// remainder. Pure OP / pure RWP aggregations attribute everything to
+/// kOp / kRwp; kOther holds grid-resident work that is not a MAC
+/// stream (unused as a focus — it is the serialization key for the
+/// residual bucket).
 enum class SpatialRegion : std::uint8_t {
   kOp = 0,       ///< region-1 outer-product pass
   kRwp = 1,      ///< region-2 (hot columns) row-wise pass

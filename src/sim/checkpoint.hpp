@@ -1,8 +1,8 @@
 // Warm-state checkpoint/restore (ROADMAP item 5): serialize the full
 // simulator state at the combination/aggregation phase boundary so
 // runs sharing a workload (sweep cells, serving-class standalone
-// simulations, tuner candidate searches) skip the combination phase
-// entirely and restore the warm DMB/LSQ/DRAM state instead.
+// simulations) skip the combination phase entirely and restore the
+// warm DMB/LSQ/DRAM state instead.
 //
 // A checkpoint is a self-describing binary blob:
 //
@@ -18,11 +18,11 @@
 // restore -> re-serialize round trip, and locked by
 // tests/test_checkpoint.cpp).
 //
-// Keys reuse the tune-cache fingerprint scheme (graph/fingerprint.hpp):
-// `workload` digests the streamed feature matrix, the weight values
-// and the combination engine kind; `config` is tuning_config_hash,
-// which deliberately excludes the tiling threshold — the threshold
-// only affects aggregation, so every tuner candidate shares one
+// Keys are content digests (graph/fingerprint.hpp): `workload`
+// digests the streamed feature matrix, the weight values and the
+// combination engine kind; `config` is timing_config_hash, which
+// deliberately excludes the tiling threshold — the threshold only
+// affects aggregation, so every cell of a tiling sweep shares one
 // checkpoint. Corrupted or truncated checkpoint files are ignored
 // (cold-run fallback), never fatal; see docs/performance.md.
 #pragma once

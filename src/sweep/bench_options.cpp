@@ -46,16 +46,6 @@ bool env_truthy(const char* value) {
   return value != nullptr && value[0] == '1';
 }
 
-AutotuneMode parse_autotune(const std::string& source,
-                            const std::string& value) {
-  const std::optional<AutotuneMode> mode = parse_autotune_mode(value);
-  if (!mode) {
-    throw UsageError("invalid value '" + value + "' for " + source +
-                     " (expected off, analytic or measured)");
-  }
-  return *mode;
-}
-
 // "0" = off, "1" = on at the default 256-cycle interval, N >= 2 = a
 // custom interval of N cycles.
 std::uint64_t parse_timeseries(const std::string& source,
@@ -134,6 +124,16 @@ BenchOptions BenchOptions::parse(const std::vector<std::string>& args,
                                  std::vector<std::string>* unrecognized) {
   BenchOptions options;
 
+  // Variables of removed knobs: fail loudly rather than silently run
+  // the default the old value would have overridden.
+  for (const char* retired : {"HYMM_ROUTE", "HYMM_AUTOTUNE",
+                              "HYMM_TUNE_CACHE"}) {
+    if (env(retired) != nullptr) {
+      throw UsageError(std::string(retired) +
+                       " was removed and is no longer supported; unset it");
+    }
+  }
+
   // --- Environment first (flags override below) ---
   if (const char* v = env("HYMM_DATASETS")) {
     options.datasets = parse_dataset_list("HYMM_DATASETS", v);
@@ -154,10 +154,6 @@ BenchOptions BenchOptions::parse(const std::vector<std::string>& args,
     options.threads = static_cast<unsigned>(
         parse_u64_value("HYMM_THREADS", v, 0, 4096));
   }
-  if (const char* v = env("HYMM_AUTOTUNE")) {
-    options.autotune = parse_autotune("HYMM_AUTOTUNE", v);
-  }
-  if (const char* v = env("HYMM_TUNE_CACHE")) options.tune_cache = v;
   if (const char* v = env("HYMM_ARRIVAL_RATE")) {
     options.arrival_rate = parse_arrival_rate("HYMM_ARRIVAL_RATE", v);
   }
@@ -222,13 +218,6 @@ BenchOptions BenchOptions::parse(const std::vector<std::string>& args,
       // consumes the following argument).
       options.spatial_tile =
           parse_spatial("--spatial", inline_value ? *inline_value : "1");
-    } else if (arg == "--autotune") {
-      // Value optional: bare --autotune means the full measured
-      // search (never consumes the following argument).
-      options.autotune = parse_autotune(
-          "--autotune", inline_value ? *inline_value : "measured");
-    } else if (arg == "--tune-cache") {
-      options.tune_cache = next();
     } else if (arg == "--arrival-rate") {
       options.arrival_rate = parse_arrival_rate("--arrival-rate", next());
     } else if (arg == "--requests") {

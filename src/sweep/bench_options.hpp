@@ -19,11 +19,6 @@
 ///                                          edge; "0" = off)
 ///   HYMM_THREADS        --threads=N        sweep workers (0 = auto)
 ///                       --seed=N           workload seed (default 42)
-///   HYMM_AUTOTUNE       --autotune[=MODE]  partition auto-tuner mode:
-///                                          off|analytic|measured (bare
-///                                          --autotune = measured)
-///   HYMM_TUNE_CACHE     --tune-cache=FILE  hymm-tune-cache/3 file the
-///                                          tuner persists decisions in
 ///   HYMM_ARRIVAL_RATE   --arrival-rate=R   serving: open-loop Poisson
 ///                                          arrival rate in requests per
 ///                                          second of modeled time
@@ -49,6 +44,8 @@
 /// Flags accept "--flag value" and "--flag=value" and win over the
 /// environment. Unknown dataset tokens and malformed numbers fail
 /// fast with a UsageError naming the bad value — no silent fallback.
+/// So does any set variable of a removed knob (docs/knobs.md,
+/// "Retired knobs").
 #pragma once
 
 #include <cstdint>
@@ -86,11 +83,6 @@ struct BenchOptions {
   std::uint64_t spatial_tile = 0;
   unsigned threads = 0;               ///< 0 = HYMM_THREADS/auto
   std::uint64_t seed = 42;
-  /// Partition auto-tuner (src/tune/): how hybrid cells pick their
-  /// tiling threshold. kOff keeps the config's fixed value.
-  AutotuneMode autotune = AutotuneMode::kOff;
-  /// Tune-cache file (hymm-tune-cache/3); empty = in-memory only.
-  std::string tune_cache;
 
   // --- Serving knobs (src/serve/; consumed by serve_bench) ---
   /// Open-loop Poisson arrival rate in requests per second of modeled

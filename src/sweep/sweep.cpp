@@ -120,7 +120,7 @@ std::vector<std::size_t> dispatch_order(const std::vector<SweepCell>& cells,
     } else {
       key << WorkloadCache::key_of(cell.spec, cell.scale, cell.seed);
     }
-    key << '|' << tuning_config_hash(cell.config) << '|'
+    key << '|' << timing_config_hash(cell.config) << '|'
         << to_string(cell.flow);
     return key.str();
   };

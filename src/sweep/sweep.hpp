@@ -151,7 +151,7 @@ std::vector<SweepGroup> group_cells(
 /// to hold some build class; wave 2: all other groups. Both waves keep
 /// `groups` order. A cell's build class is its workload identity (the
 /// `prepared` pointer, else WorkloadCache::key_of(spec, scale, seed)),
-/// tuning_config_hash(config) and dataflow: cells of one class share
+/// timing_config_hash(config) and dataflow: cells of one class share
 /// a CheckpointKey and a WorkloadCache entry, so wave 1 starts every
 /// shared build before any cell that would block on it. A pure
 /// function of its arguments — results never depend on it.

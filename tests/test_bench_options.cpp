@@ -1,7 +1,8 @@
 // BenchOptions parsing: the shared bench knobs must fail fast with a
 // UsageError naming the bad value (no silent fallback to all datasets
-// or the default scale), flags must win over the environment, and
-// unowned flags must pass through for the caller.
+// or the default scale), flags must win over the environment,
+// unowned flags must pass through for the caller, and removed knobs
+// must fail loudly instead of being ignored.
 #include <gtest/gtest.h>
 
 #include <filesystem>
@@ -179,9 +180,23 @@ TEST(BenchOptionsTest, UnrecognizedFlagsPassThrough) {
 TEST(BenchOptionsTest, UnknownFlagIsErrorWithoutPassthrough) {
   const std::string err = error_of({"--frobnicate"});
   EXPECT_NE(err.find("--frobnicate"), std::string::npos) << err;
-  // The retired per-tile routing knob is unknown, not a silent no-op.
-  const std::string route = error_of({"--route=tiles"});
-  EXPECT_NE(route.find("--route"), std::string::npos) << route;
+  // Retired knobs (per-tile routing, the threshold auto-tuner) are
+  // unknown, not silent no-ops.
+  for (const std::string flag :
+       {"--route=tiles", "--autotune", "--tune-cache=tc.json"}) {
+    const std::string err = error_of({flag});
+    EXPECT_NE(err.find(flag.substr(0, flag.find('='))), std::string::npos)
+        << flag << ": " << err;
+  }
+}
+
+TEST(BenchOptionsTest, RetiredEnvVarsFailFast) {
+  for (const std::string name :
+       {"HYMM_ROUTE", "HYMM_AUTOTUNE", "HYMM_TUNE_CACHE"}) {
+    const std::string err = error_of({}, {{name, "1"}});
+    EXPECT_NE(err.find(name), std::string::npos) << name << ": " << err;
+    EXPECT_NE(err.find("removed"), std::string::npos) << name << ": " << err;
+  }
 }
 
 TEST(BenchOptionsTest, MissingValueIsError) {

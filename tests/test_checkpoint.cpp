@@ -1,8 +1,9 @@
 // Warm-state checkpoint/restore (sim/checkpoint.hpp): blob framing
-// rejects corruption, keys ignore aggregation-only knobs, restored
-// runs are bit-identical to cold ones, concurrent sweep cells sharing
-// a workload build the checkpoint exactly once, and a corrupted
-// persisted file degrades to a cold rebuild — never an error.
+// rejects corruption, keys and their graph/config digests are stable
+// and ignore aggregation-only knobs, restored runs are bit-identical
+// to cold ones, concurrent sweep cells sharing a workload build the
+// checkpoint exactly once, and a corrupted persisted file degrades to
+// a cold rebuild — never an error.
 #include <gtest/gtest.h>
 
 #include <cstddef>
@@ -10,10 +11,12 @@
 #include <filesystem>
 #include <fstream>
 #include <initializer_list>
+#include <utility>
 #include <vector>
 
 #include "core/accelerator.hpp"
 #include "graph/datasets.hpp"
+#include "graph/fingerprint.hpp"
 #include "graph/generator.hpp"
 #include "linalg/gcn.hpp"
 #include "sim/checkpoint.hpp"
@@ -99,9 +102,51 @@ TEST(CheckpointBlob, RejectsTruncation) {
   }
 }
 
+// --- Key digests (graph/fingerprint.hpp) ---
+
+TEST(Fingerprint, StableAndContentSensitive) {
+  const Problem p = make_problem();
+  const std::uint64_t fp1 = graph_fingerprint(p.a_hat);
+  const std::uint64_t fp2 = graph_fingerprint(p.a_hat);
+  EXPECT_EQ(fp1, fp2);
+
+  // Any value change moves the fingerprint.
+  CsrMatrix perturbed = p.a_hat;
+  std::vector<Value> values = perturbed.values();
+  values.front() += 1.0f;
+  perturbed = CsrMatrix::from_parts(perturbed.rows(), perturbed.cols(),
+                                    perturbed.row_ptr(), perturbed.col_idx(),
+                                    std::move(values));
+  EXPECT_NE(fp1, graph_fingerprint(perturbed));
+}
+
+TEST(Fingerprint, ConfigHashIgnoresThresholdAndObservability) {
+  AcceleratorConfig base;
+  const std::uint64_t h = timing_config_hash(base);
+
+  AcceleratorConfig threshold = base;
+  threshold.tiling_threshold = 0.37;
+  EXPECT_EQ(h, timing_config_hash(threshold));
+
+  AcceleratorConfig observed = base;
+  observed.trace_path = "/tmp/trace.json";
+  observed.json_path = "/tmp/report.json";
+  observed.obs_sample_interval = 1;
+  EXPECT_EQ(h, timing_config_hash(observed));
+
+  AcceleratorConfig resized = base;
+  resized.dmb_bytes *= 2;
+  EXPECT_NE(h, timing_config_hash(resized));
+
+  AcceleratorConfig repinned = base;
+  repinned.dmb_pin_fraction = 0.5;
+  EXPECT_NE(h, timing_config_hash(repinned));
+}
+
 // The config half deliberately excludes the tiling threshold (it only
-// affects aggregation), so all tuner candidates share one checkpoint;
-// any timing-relevant knob — or the streamed inputs — must split it.
+// affects aggregation), so sweep cells that differ only in threshold
+// share one checkpoint; any timing-relevant knob — or the streamed
+// inputs — must split it.
 TEST(CheckpointKeying, ThresholdInvariantButTimingSensitive) {
   const Problem p = make_problem();
   AcceleratorConfig base;
