@@ -1,25 +1,30 @@
 // End-to-end GCN serving bench: an open-loop Poisson client issues
 // full-graph and sampled-subgraph inference requests against one
-// shared model (src/serve/), and the scheduler batches compatible
-// requests and keeps each layer's XW output resident between phases.
-// Prints throughput / utilization / p50-p90-p99 latency and can write
-// the per-request CSV and the hymm-serve-report/1 JSON snapshot that
-// scripts/check_schema.py validates and scripts/perf_compare diffs.
+// shared model (src/serve/), and a single server works through a
+// bounded FIFO queue, charging every request its class's exact,
+// verified standalone cycles. Prints throughput / utilization /
+// p50-p90-p99 latency and can write the per-request CSV and the
+// hymm-serve-report/2 JSON snapshot that scripts/check_schema.py
+// validates and scripts/perf_compare diffs.
 //
 //   serve_bench [--out FILE] [--csv FILE] [--flow op|rwp|hybrid]
 //               [bench flags]
 //
 // Serving knobs ride the shared bench-option set: --arrival-rate,
-// --requests, --batch, --queue-cap, --reuse (HYMM_ARRIVAL_RATE, ...),
-// plus the usual --datasets/--scale/--seed/--threads. One dataset per
-// run; with no explicit selection Cora (CR) is served. The whole run
-// is deterministic in --seed: per-request cycles are bit-identical at
-// any --threads value and under HYMM_NO_FASTFWD.
+// --requests, --queue-cap (HYMM_ARRIVAL_RATE, ...), plus the usual
+// --datasets/--scale/--seed/--threads. One dataset per run; with no
+// explicit selection Cora (CR) is served. The whole run is
+// deterministic in --seed: per-request cycles are bit-identical at
+// any --threads value and under HYMM_NO_FASTFWD. Exit status: 0 on
+// success, 1 on a verification or write failure, 2 on a bad flag or
+// a serving config run_serve rejects (e.g. an --arrival-rate so low
+// that the arrival clock would overflow).
 #include <fstream>
 #include <iostream>
 #include <string>
 #include <vector>
 
+#include "common/check.hpp"
 #include "common/version.hpp"
 #include "core/gcn_model.hpp"
 #include "linalg/gcn.hpp"
@@ -59,7 +64,8 @@ int main(int argc, char** argv) {
                 << "  serve-report schema: " << kServeReportSchema << '\n';
       return 0;
     } else {
-      std::cerr << "usage: serve_bench [--out FILE] [--csv FILE] "
+      std::cerr << "serve_bench: unknown argument " << rest[i] << "\n"
+                << "usage: serve_bench [--out FILE] [--csv FILE] "
                    "[--flow op|rwp|hybrid] [bench flags]\n";
       return 2;
     }
@@ -78,7 +84,7 @@ int main(int argc, char** argv) {
       build_request_classes(workload, opts.seed);
 
   // Shared two-layer weight chain (feature_length -> d -> d); every
-  // class runs it, which is what lets a batch amortize weight fetches.
+  // class runs it.
   const GcnModel model = GcnModel::with_random_weights(
       classes.front().a_hat, workload.spec.feature_length,
       {workload.spec.layer_dim, workload.spec.layer_dim}, opts.seed);
@@ -87,10 +93,8 @@ int main(int argc, char** argv) {
   config.flow = flow;
   config.requests = opts.requests > 0 ? opts.requests : 256;
   config.arrival_rate = opts.arrival_rate > 0.0 ? opts.arrival_rate : 2000.0;
-  config.max_batch = opts.batch > 0 ? opts.batch : 4;
   config.queue_capacity =
       opts.queue_capacity > 0 ? opts.queue_capacity : 64;
-  config.buffer_reuse = opts.serve_reuse.value_or(true);
   config.seed = opts.seed;
   config.threads = opts.threads;
   // Warm-state checkpoints (persisted under --checkpoint-dir): a
@@ -99,7 +103,16 @@ int main(int argc, char** argv) {
   CheckpointStore checkpoints(opts.checkpoint_dir);
   if (!opts.checkpoint_dir.empty()) config.checkpoints = &checkpoints;
 
-  const ServeResult result = run_serve(classes, model.weights(), config);
+  ServeResult result;
+  try {
+    result = run_serve(classes, model.weights(), config);
+  } catch (const CheckError& e) {
+    std::cerr << "serve_bench: serving config rejected (--arrival-rate "
+              << config.arrival_rate << ", --requests " << config.requests
+              << ", --queue-cap " << config.queue_capacity
+              << "): " << e.what() << "\n";
+    return 2;
+  }
   const ServeReportMeta meta{workload.spec, workload.scale, opts.seed};
   print_serve_summary(result, config, meta, std::cout);
 

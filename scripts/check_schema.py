@@ -23,12 +23,13 @@ structural requirements:
                           also the per-phase breakdown; /3 runs also
                           the "sampled" label (sampled runs carry
                           sample_fraction and sample_rel_error_bound).
-  hymm-serve-report/1     serve_bench output: "config", "classes",
+  hymm-serve-report/2     serve_bench output: "config", "classes",
                           "summary" (latency quantile blocks),
-                          "traffic" (the DRAM conservation ledger,
-                          standalone == charged + reuse + batch,
-                          re-checked here), "queue_depth" and one
-                          "requests" record per arrival.
+                          "queue_depth" and one "requests" record per
+                          arrival. Per request, re-checked here:
+                          arrivals are non-decreasing in id order,
+                          start >= arrival, and latency_cycles ==
+                          wait_cycles + service_cycles.
 
 Prints one OK/FAIL line per file with every problem found. Exit
 status: 0 when all files validate, 1 when any file fails, 2 on usage
@@ -48,23 +49,21 @@ RUN_REPORT_SCHEMAS = {
 BENCH_SCHEMAS = {"hymm-bench/1": 1, "hymm-bench/2": 2, "hymm-bench/3": 3}
 SAMPLE_PHASE_KEYS = ("bands_total", "bands_simulated", "nnz_total",
                      "nnz_simulated", "cycles_estimate", "cycles_stderr")
-SERVE_REPORT_SCHEMAS = {"hymm-serve-report/1": 1}
+SERVE_REPORT_SCHEMAS = {"hymm-serve-report/2": 2}
 
 RESULT_KEYS = ("dataset", "abbrev", "scale", "flow", "cycles", "verified")
 SPATIAL_CELL_KEYS = ("nnz", "macs", "dmb_hits", "dmb_misses",
                      "dram_bytes", "cycles")
 BENCH_RUN_KEYS = ("abbrev", "flow", "cycles")
-SERVE_CONFIG_KEYS = ("arrival_rate_rps", "requests", "queue_capacity",
-                     "max_batch", "buffer_reuse")
+SERVE_CONFIG_KEYS = ("arrival_rate_rps", "requests", "queue_capacity")
 SERVE_CLASS_KEYS = ("name", "weight", "nodes", "standalone_cycles",
-                    "standalone_dram_bytes", "verified", "layers")
-SERVE_SUMMARY_KEYS = ("served", "dropped", "batches", "makespan_cycles",
+                    "standalone_dram_bytes", "verified")
+SERVE_SUMMARY_KEYS = ("served", "dropped", "makespan_cycles",
                       "busy_cycles", "utilization", "throughput_rps")
 SERVE_QUANTILE_BLOCKS = ("latency_cycles", "wait_cycles", "service_cycles")
 SERVE_QUANTILE_KEYS = ("count", "mean", "p50", "p90", "p99", "max")
-SERVE_TRAFFIC_KEYS = ("standalone_bytes", "charged_bytes",
-                      "reuse_saved_bytes", "batch_saved_bytes",
-                      "standalone_cycles", "saved_cycles")
+SERVE_REQUEST_TIMING_KEYS = ("start", "completion", "service_cycles",
+                             "wait_cycles", "latency_cycles")
 
 
 def check_stalls(obj, where, problems):
@@ -204,6 +203,43 @@ def check_bench(doc, version, problems):
                             "number")
 
 
+def check_serve_requests(requests, problems):
+    """Per-request invariants of the single-server FIFO schedule."""
+    previous_arrival = None
+    for i, request in enumerate(requests):
+        where = f"requests[{i}]"
+        if not isinstance(request, dict):
+            problems.append(f"{where}: not an object")
+            continue
+        arrival = request.get("arrival")
+        if not isinstance(arrival, int):
+            problems.append(f"{where}: \"arrival\" is not an integer")
+            continue
+        if previous_arrival is not None and arrival < previous_arrival:
+            problems.append(
+                f"{where}: arrival {arrival} precedes the previous "
+                f"request's {previous_arrival} (arrival clock wrapped?)")
+        previous_arrival = arrival
+        if request.get("dropped") is True:
+            continue
+        timing = {key: request.get(key) for key in SERVE_REQUEST_TIMING_KEYS}
+        missing = [k for k, v in timing.items() if not isinstance(v, int)]
+        if missing:
+            problems.append(f"{where}: served request lacks integer "
+                            f"{', '.join(missing)}")
+            continue
+        if timing["start"] < arrival:
+            problems.append(
+                f"{where}: start {timing['start']} precedes arrival "
+                f"{arrival}")
+        if timing["latency_cycles"] != \
+                timing["wait_cycles"] + timing["service_cycles"]:
+            problems.append(
+                f"{where}: latency_cycles {timing['latency_cycles']} != "
+                f"wait_cycles {timing['wait_cycles']} + service_cycles "
+                f"{timing['service_cycles']}")
+
+
 def check_serve_report(doc, _version, problems):
     config = doc.get("config")
     if not isinstance(config, dict):
@@ -225,8 +261,6 @@ def check_serve_report(doc, _version, problems):
             for key in SERVE_CLASS_KEYS:
                 if key not in cls:
                     problems.append(f"{where}: missing key {key!r}")
-            if not isinstance(cls.get("layers"), list) or not cls["layers"]:
-                problems.append(f"{where}: missing or empty \"layers\"")
             if cls.get("verified") is not True:
                 problems.append(f"{where}: class is not verified")
 
@@ -247,32 +281,14 @@ def check_serve_report(doc, _version, problems):
                     problems.append(
                         f"summary.{block}: {key!r} is not a number")
 
-    traffic = doc.get("traffic")
-    if not isinstance(traffic, dict):
-        problems.append("missing \"traffic\" object")
-    else:
-        for key in SERVE_TRAFFIC_KEYS:
-            if not isinstance(traffic.get(key), int):
-                problems.append(f"traffic: {key!r} is not an integer")
-        if all(isinstance(traffic.get(k), int) for k in SERVE_TRAFFIC_KEYS):
-            charged = (traffic["charged_bytes"] +
-                       traffic["reuse_saved_bytes"] +
-                       traffic["batch_saved_bytes"])
-            if charged != traffic["standalone_bytes"]:
-                problems.append(
-                    "traffic: conservation violated: charged + reuse + "
-                    f"batch = {charged} != standalone "
-                    f"{traffic['standalone_bytes']}")
-            if traffic["saved_cycles"] > traffic["standalone_cycles"]:
-                problems.append(
-                    "traffic: saved_cycles exceeds standalone_cycles")
-
     if not isinstance(doc.get("queue_depth"), list):
         problems.append("missing \"queue_depth\" array")
     requests = doc.get("requests")
     if not isinstance(requests, list) or not requests:
         problems.append("missing or empty \"requests\" array")
-    elif isinstance(summary, dict) and \
+        return
+    check_serve_requests(requests, problems)
+    if isinstance(summary, dict) and \
             isinstance(summary.get("served"), int) and \
             isinstance(summary.get("dropped"), int):
         if summary["served"] + summary["dropped"] != len(requests):

@@ -12,6 +12,6 @@ inline constexpr const char* kRunReportSchema = "hymm-run-report/8";
 inline constexpr const char* kBenchSchema = "hymm-bench/3";
 // Serving reports written by write_serve_json (serve/report.cpp) for
 // bench/serve_bench.
-inline constexpr const char* kServeReportSchema = "hymm-serve-report/1";
+inline constexpr const char* kServeReportSchema = "hymm-serve-report/2";
 
 }  // namespace hymm

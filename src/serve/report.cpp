@@ -39,8 +39,7 @@ void print_serve_summary(const ServeResult& result,
       << to_string(config.flow) << ", seed " << meta.seed << ")\n"
       << "  open loop: " << config.arrival_rate << " req/s, "
       << config.requests << " arrivals, queue cap "
-      << config.queue_capacity << ", batch <= " << config.max_batch
-      << ", XW reuse " << (config.buffer_reuse ? "on" : "off") << "\n\n";
+      << config.queue_capacity << "\n\n";
 
   Table classes({"Class", "Nodes", "Standalone cycles", "DRAM",
                  "Mix weight", "Verified"});
@@ -55,8 +54,7 @@ void print_serve_summary(const ServeResult& result,
 
   const double clock = config.accel.clock_ghz;
   out << "\nserved " << result.served << " / dropped " << result.dropped
-      << " in " << result.batches << " batches; makespan "
-      << result.makespan << " cycles ("
+      << "; makespan " << result.makespan << " cycles ("
       << Table::fmt(static_cast<double>(result.makespan) / (clock * 1e6), 2)
       << " ms @" << clock << "GHz)\n"
       << "throughput " << Table::fmt(result.throughput_rps(clock), 1)
@@ -64,39 +62,21 @@ void print_serve_summary(const ServeResult& result,
       << Table::fmt_percent(result.utilization(), 1) << "\n"
       << "latency (cycles):  " << quantile_line(result.latency) << "\n"
       << "queue wait:        " << quantile_line(result.wait) << "\n"
-      << "service:           " << quantile_line(result.service) << "\n"
-      << "DRAM ledger: standalone "
-      << Table::fmt_bytes(static_cast<double>(result.standalone_bytes))
-      << " = charged "
-      << Table::fmt_bytes(static_cast<double>(result.charged_bytes))
-      << " + reuse-saved "
-      << Table::fmt_bytes(static_cast<double>(result.reuse_saved_bytes))
-      << " + batch-saved "
-      << Table::fmt_bytes(static_cast<double>(result.batch_saved_bytes))
-      << "\ncycles saved by reuse+batching: " << result.saved_cycles
-      << " of " << result.standalone_cycles << " standalone ("
-      << Table::fmt_percent(
-             result.standalone_cycles > 0
-                 ? static_cast<double>(result.saved_cycles) /
-                       static_cast<double>(result.standalone_cycles)
-                 : 0.0,
-             1)
-      << ")\n";
+      << "service:           " << quantile_line(result.service) << "\n";
 }
 
 void write_serve_csv(const ServeResult& result, std::ostream& out) {
   out << "id,class,arrival,dropped,start,completion,service_cycles,"
-         "wait_cycles,latency_cycles,batch,batch_position\n";
+         "wait_cycles,latency_cycles\n";
   for (const RequestRecord& r : result.requests) {
     out << r.id << ',' << result.class_costs[r.class_index].name << ','
         << r.arrival << ',' << (r.dropped ? 1 : 0) << ',';
     if (r.dropped) {
-      out << ",,,,,,\n";
+      out << ",,,,\n";
       continue;
     }
     out << r.start << ',' << r.completion << ',' << r.service_cycles << ','
-        << r.wait_cycles << ',' << r.latency_cycles << ',' << r.batch_id
-        << ',' << r.batch_position << '\n';
+        << r.wait_cycles << ',' << r.latency_cycles << '\n';
   }
 }
 
@@ -117,8 +97,6 @@ void write_serve_json(const ServeResult& result, const ServeConfig& config,
   w.field("arrival_rate_rps", config.arrival_rate);
   w.field("requests", config.requests);
   w.field("queue_capacity", std::uint64_t{config.queue_capacity});
-  w.field("max_batch", std::uint64_t{config.max_batch});
-  w.field("buffer_reuse", config.buffer_reuse);
   w.end_object();
 
   w.key("classes");
@@ -133,20 +111,6 @@ void write_serve_json(const ServeResult& result, const ServeConfig& config,
     w.field("preprocess_ms", cost.preprocess_ms);
     w.field("verified", cost.verified);
     w.field("max_abs_err", cost.max_abs_err);
-    w.key("layers");
-    w.begin_array();
-    for (const LayerCost& layer : cost.layers) {
-      w.begin_object();
-      w.field("cycles", std::uint64_t{layer.cycles});
-      w.field("comb_mem_stall", std::uint64_t{layer.comb_mem_stall});
-      w.field("agg_mem_stall", std::uint64_t{layer.agg_mem_stall});
-      w.field("weight_read_bytes", layer.weight_read_bytes);
-      w.field("xw_write_bytes", layer.xw_write_bytes);
-      w.field("xw_read_bytes", layer.xw_read_bytes);
-      w.field("xw_footprint_bytes", layer.xw_footprint_bytes);
-      w.end_object();
-    }
-    w.end_array();
     w.end_object();
   }
   w.end_array();
@@ -155,7 +119,6 @@ void write_serve_json(const ServeResult& result, const ServeConfig& config,
   w.begin_object();
   w.field("served", result.served);
   w.field("dropped", result.dropped);
-  w.field("batches", result.batches);
   w.field("makespan_cycles", std::uint64_t{result.makespan});
   w.field("busy_cycles", std::uint64_t{result.busy_cycles});
   w.field("utilization", result.utilization());
@@ -163,19 +126,6 @@ void write_serve_json(const ServeResult& result, const ServeConfig& config,
   write_quantiles(w, "latency_cycles", result.latency);
   write_quantiles(w, "wait_cycles", result.wait);
   write_quantiles(w, "service_cycles", result.service);
-  w.end_object();
-
-  // The conservation identity (standalone == charged + reuse_saved +
-  // batch_saved) is HYMM_CHECKed by run_serve and re-validated by
-  // scripts/check_schema.py.
-  w.key("traffic");
-  w.begin_object();
-  w.field("standalone_bytes", result.standalone_bytes);
-  w.field("charged_bytes", result.charged_bytes);
-  w.field("reuse_saved_bytes", result.reuse_saved_bytes);
-  w.field("batch_saved_bytes", result.batch_saved_bytes);
-  w.field("standalone_cycles", std::uint64_t{result.standalone_cycles});
-  w.field("saved_cycles", std::uint64_t{result.saved_cycles});
   w.end_object();
 
   w.key("queue_depth");
@@ -203,8 +153,6 @@ void write_serve_json(const ServeResult& result, const ServeConfig& config,
       w.field("service_cycles", std::uint64_t{r.service_cycles});
       w.field("wait_cycles", std::uint64_t{r.wait_cycles});
       w.field("latency_cycles", std::uint64_t{r.latency_cycles});
-      w.field("batch", r.batch_id);
-      w.field("batch_position", std::uint64_t{r.batch_position});
     }
     w.end_object();
   }

@@ -1,7 +1,7 @@
 /// @file
 /// Serving-run report renderers: the stdout summary (throughput,
 /// utilization, latency quantiles, class table), the per-request CSV
-/// and the hymm-serve-report/1 JSON artifact (docs/schemas.md;
+/// and the hymm-serve-report/2 JSON artifact (docs/schemas.md;
 /// validated by scripts/check_schema.py).
 #pragma once
 
@@ -19,8 +19,8 @@ struct ServeReportMeta {
   std::uint64_t seed = 42;  ///< workload + arrival seed
 };
 
-/// Human-readable summary: config echo, per-class cost table, queue /
-/// batching counters and the p50/p90/p99/max latency block.
+/// Human-readable summary: config echo, per-class cost table, queue
+/// counters and the p50/p90/p99/max latency block.
 void print_serve_summary(const ServeResult& result,
                          const ServeConfig& config,
                          const ServeReportMeta& meta, std::ostream& out);
@@ -29,9 +29,8 @@ void print_serve_summary(const ServeResult& result,
 /// empty timing columns).
 void write_serve_csv(const ServeResult& result, std::ostream& out);
 
-/// The hymm-serve-report/1 JSON document: config, classes, summary
-/// quantiles, the DRAM conservation ledger, the queue-depth series
-/// and every per-request record.
+/// The hymm-serve-report/2 JSON document: config, classes, summary
+/// quantiles, the queue-depth series and every per-request record.
 void write_serve_json(const ServeResult& result, const ServeConfig& config,
                       const ServeReportMeta& meta, std::ostream& out);
 

@@ -20,8 +20,7 @@ namespace hymm {
 /// One kind of inference request the serving mix can draw: a named
 /// (sub)graph with its normalized adjacency and feature rows. The
 /// layer weights are NOT part of the class — every class runs the
-/// same shared weight chain, which is what makes request batching
-/// amortize weight fetches across classes of the same batch.
+/// same shared weight chain.
 struct RequestClass {
   std::string name;        ///< e.g. "full", "half", "small"
   double weight = 1.0;     ///< class-mix probability weight (> 0)

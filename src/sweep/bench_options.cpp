@@ -127,7 +127,8 @@ BenchOptions BenchOptions::parse(const std::vector<std::string>& args,
   // Variables of removed knobs: fail loudly rather than silently run
   // the default the old value would have overridden.
   for (const char* retired : {"HYMM_ROUTE", "HYMM_AUTOTUNE",
-                              "HYMM_TUNE_CACHE"}) {
+                              "HYMM_TUNE_CACHE", "HYMM_BATCH",
+                              "HYMM_REUSE"}) {
     if (env(retired) != nullptr) {
       throw UsageError(std::string(retired) +
                        " was removed and is no longer supported; unset it");
@@ -160,15 +161,9 @@ BenchOptions BenchOptions::parse(const std::vector<std::string>& args,
   if (const char* v = env("HYMM_REQUESTS")) {
     options.requests = parse_u64_value("HYMM_REQUESTS", v, 1, 100'000'000);
   }
-  if (const char* v = env("HYMM_BATCH")) {
-    options.batch = parse_u64_value("HYMM_BATCH", v, 1, 4096);
-  }
   if (const char* v = env("HYMM_QUEUE_CAP")) {
     options.queue_capacity =
         parse_u64_value("HYMM_QUEUE_CAP", v, 1, 1u << 20);
-  }
-  if (const char* v = env("HYMM_REUSE")) {
-    options.serve_reuse = parse_u64_value("HYMM_REUSE", v, 0, 1) != 0;
   }
   if (const char* v = env("HYMM_SAMPLE")) {
     options.sample = parse_sample("HYMM_SAMPLE", v);
@@ -223,13 +218,9 @@ BenchOptions BenchOptions::parse(const std::vector<std::string>& args,
     } else if (arg == "--requests") {
       options.requests =
           parse_u64_value("--requests", next(), 1, 100'000'000);
-    } else if (arg == "--batch") {
-      options.batch = parse_u64_value("--batch", next(), 1, 4096);
     } else if (arg == "--queue-cap") {
       options.queue_capacity =
           parse_u64_value("--queue-cap", next(), 1, 1u << 20);
-    } else if (arg == "--reuse") {
-      options.serve_reuse = parse_u64_value("--reuse", next(), 0, 1) != 0;
     } else if (arg == "--sample") {
       // Value optional: bare --sample means the default 0.25 fraction
       // (never consumes the following argument).

@@ -180,10 +180,12 @@ TEST(BenchOptionsTest, UnrecognizedFlagsPassThrough) {
 TEST(BenchOptionsTest, UnknownFlagIsErrorWithoutPassthrough) {
   const std::string err = error_of({"--frobnicate"});
   EXPECT_NE(err.find("--frobnicate"), std::string::npos) << err;
-  // Retired knobs (per-tile routing, the threshold auto-tuner) are
-  // unknown, not silent no-ops.
-  for (const std::string flag :
-       {"--route=tiles", "--autotune", "--tune-cache=tc.json"}) {
+  // Retired knobs (per-tile routing, the threshold auto-tuner, the
+  // serving batch and XW-reuse credits) are unknown, not silent
+  // no-ops.
+  for (const std::string flag : {"--route=tiles", "--autotune",
+                                 "--tune-cache=tc.json", "--batch=4",
+                                 "--reuse=0"}) {
     const std::string err = error_of({flag});
     EXPECT_NE(err.find(flag.substr(0, flag.find('='))), std::string::npos)
         << flag << ": " << err;
@@ -191,8 +193,9 @@ TEST(BenchOptionsTest, UnknownFlagIsErrorWithoutPassthrough) {
 }
 
 TEST(BenchOptionsTest, RetiredEnvVarsFailFast) {
-  for (const std::string name :
-       {"HYMM_ROUTE", "HYMM_AUTOTUNE", "HYMM_TUNE_CACHE"}) {
+  for (const std::string name : {"HYMM_ROUTE", "HYMM_AUTOTUNE",
+                                 "HYMM_TUNE_CACHE", "HYMM_BATCH",
+                                 "HYMM_REUSE"}) {
     const std::string err = error_of({}, {{name, "1"}});
     EXPECT_NE(err.find(name), std::string::npos) << name << ": " << err;
     EXPECT_NE(err.find("removed"), std::string::npos) << name << ": " << err;
@@ -208,41 +211,33 @@ TEST(BenchOptionsTest, ServeKnobDefaultsAreUnset) {
   const BenchOptions opts = parse({});
   EXPECT_EQ(opts.arrival_rate, 0.0);
   EXPECT_EQ(opts.requests, 0u);
-  EXPECT_EQ(opts.batch, 0u);
   EXPECT_EQ(opts.queue_capacity, 0u);
-  EXPECT_FALSE(opts.serve_reuse.has_value());
 }
 
 TEST(BenchOptionsTest, ServeKnobsParseFromFlags) {
   const BenchOptions opts =
-      parse({"--arrival-rate=2500.5", "--requests", "96", "--batch=8",
-             "--queue-cap=32", "--reuse=0"});
+      parse({"--arrival-rate=2500.5", "--requests", "96", "--queue-cap=32"});
   EXPECT_DOUBLE_EQ(opts.arrival_rate, 2500.5);
   EXPECT_EQ(opts.requests, 96u);
-  EXPECT_EQ(opts.batch, 8u);
   EXPECT_EQ(opts.queue_capacity, 32u);
-  ASSERT_TRUE(opts.serve_reuse.has_value());
-  EXPECT_FALSE(*opts.serve_reuse);
 }
 
 TEST(BenchOptionsTest, ServeKnobsParseFromEnvAndFlagsWin) {
   const std::map<std::string, std::string> env = {
-      {"HYMM_ARRIVAL_RATE", "1000"}, {"HYMM_REQUESTS", "10"},
-      {"HYMM_BATCH", "2"},           {"HYMM_QUEUE_CAP", "4"},
-      {"HYMM_REUSE", "1"}};
+      {"HYMM_ARRIVAL_RATE", "1000"},
+      {"HYMM_REQUESTS", "10"},
+      {"HYMM_QUEUE_CAP", "4"}};
   const BenchOptions from_env = parse({}, env);
   EXPECT_DOUBLE_EQ(from_env.arrival_rate, 1000.0);
   EXPECT_EQ(from_env.requests, 10u);
-  EXPECT_EQ(from_env.batch, 2u);
   EXPECT_EQ(from_env.queue_capacity, 4u);
-  ASSERT_TRUE(from_env.serve_reuse.has_value());
-  EXPECT_TRUE(*from_env.serve_reuse);
 
   const BenchOptions overridden =
       parse({"--arrival-rate=2000", "--requests=20"}, env);
   EXPECT_DOUBLE_EQ(overridden.arrival_rate, 2000.0);
   EXPECT_EQ(overridden.requests, 20u);
-  EXPECT_EQ(overridden.batch, 2u);  // env survives where no flag given
+  // The environment survives where no flag overrides it.
+  EXPECT_EQ(overridden.queue_capacity, 4u);
 }
 
 TEST(BenchOptionsTest, ServeKnobsFailFastOnBadValues) {
@@ -252,12 +247,9 @@ TEST(BenchOptionsTest, ServeKnobsFailFastOnBadValues) {
   EXPECT_NE(error_of({"--arrival-rate=-5"}), "");
   EXPECT_NE(error_of({"--arrival-rate=banana"}), "");
   EXPECT_NE(error_of({"--requests=0"}), "");
-  EXPECT_NE(error_of({"--batch=0"}), "");
-  EXPECT_NE(error_of({"--batch=100000"}), "");
   EXPECT_NE(error_of({"--queue-cap=0"}), "");
-  EXPECT_NE(error_of({"--reuse=2"}), "");
-  const std::string reuse_err = error_of({}, {{"HYMM_REUSE", "maybe"}});
-  EXPECT_NE(reuse_err.find("HYMM_REUSE"), std::string::npos) << reuse_err;
+  const std::string cap_err = error_of({}, {{"HYMM_QUEUE_CAP", "maybe"}});
+  EXPECT_NE(cap_err.find("HYMM_QUEUE_CAP"), std::string::npos) << cap_err;
 }
 
 // Sampled-simulation knob: off by default, bare --sample means the

@@ -1,11 +1,14 @@
 // Serving-pipeline invariants: a fixed seed produces bit-identical
 // per-request cycle/latency sequences at any worker thread count and
 // with fast-forward disabled, the bounded queue drops (never blocks)
-// under overload, batching/reuse savings respect the DRAM-traffic
-// conservation ledger, and the hymm-serve-report/1 JSON is valid.
+// under overload, every served request follows the single-server
+// FIFO reference schedule at its class's standalone cost, and the
+// hymm-serve-report/2 JSON is valid.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <sstream>
+#include <string>
 
 #include "common/check.hpp"
 #include "core/engine.hpp"
@@ -35,7 +38,6 @@ ServeConfig tiny_config() {
   config.requests = 48;
   config.arrival_rate = 50'000.0;  // busy but not saturated
   config.queue_capacity = 64;
-  config.max_batch = 4;
   config.seed = 42;
   return config;
 }
@@ -53,15 +55,34 @@ void expect_identical_records(const ServeResult& a, const ServeResult& b) {
     EXPECT_EQ(ra.completion, rb.completion) << "request " << i;
     EXPECT_EQ(ra.service_cycles, rb.service_cycles) << "request " << i;
     EXPECT_EQ(ra.latency_cycles, rb.latency_cycles) << "request " << i;
-    EXPECT_EQ(ra.batch_id, rb.batch_id) << "request " << i;
-    EXPECT_EQ(ra.batch_position, rb.batch_position) << "request " << i;
   }
   EXPECT_EQ(a.served, b.served);
   EXPECT_EQ(a.dropped, b.dropped);
-  EXPECT_EQ(a.batches, b.batches);
   EXPECT_EQ(a.makespan, b.makespan);
-  EXPECT_EQ(a.charged_bytes, b.charged_bytes);
-  EXPECT_EQ(a.saved_cycles, b.saved_cycles);
+  EXPECT_EQ(a.busy_cycles, b.busy_cycles);
+}
+
+// Every served request must follow the single-server FIFO reference:
+// service at its class's standalone cost, starting when it arrives or
+// when the previously served request completes (whichever is later),
+// and completing in arrival order.
+void expect_fifo_reference(const ServeResult& result) {
+  Cycle previous_completion = 0;
+  std::uint64_t served = 0;
+  for (const RequestRecord& r : result.requests) {
+    if (r.dropped) continue;
+    ++served;
+    EXPECT_EQ(r.service_cycles,
+              result.class_costs[r.class_index].standalone_cycles)
+        << "request " << r.id;
+    EXPECT_EQ(r.start, std::max(r.arrival, previous_completion))
+        << "request " << r.id;
+    EXPECT_EQ(r.completion, r.start + r.service_cycles) << "request " << r.id;
+    EXPECT_GT(r.completion, previous_completion) << "request " << r.id;
+    previous_completion = r.completion;
+  }
+  EXPECT_EQ(served, result.served);
+  EXPECT_EQ(result.makespan, previous_completion);
 }
 
 class ServeFixture : public ::testing::Test {
@@ -125,37 +146,17 @@ TEST_F(ServeFixture, EveryClassCostIsVerifiedAgainstReference) {
   }
 }
 
-TEST_F(ServeFixture, NoReuseNoBatchingMeansStandaloneService) {
+TEST_F(ServeFixture, ServedRequestsFollowTheFifoReference) {
   ServeConfig config = tiny_config();
-  config.buffer_reuse = false;
-  config.max_batch = 1;
-  const ServeResult result = run_serve(classes_, weights_, config);
-  EXPECT_EQ(result.saved_cycles, 0u);
-  EXPECT_EQ(result.reuse_saved_bytes, 0u);
-  EXPECT_EQ(result.batch_saved_bytes, 0u);
-  EXPECT_EQ(result.charged_bytes, result.standalone_bytes);
-  for (const RequestRecord& r : result.requests) {
-    if (r.dropped) continue;
-    EXPECT_EQ(r.service_cycles,
-              result.class_costs[r.class_index].standalone_cycles);
-  }
-}
+  config.arrival_rate = 1'000'000.0;  // saturating: the queue builds up
+  const ServeResult saturated = run_serve(classes_, weights_, config);
+  EXPECT_GT(saturated.utilization(), 0.9);
+  expect_fifo_reference(saturated);
 
-TEST_F(ServeFixture, ConservationLedgerBalances) {
-  ServeConfig config = tiny_config();
-  config.arrival_rate = 1'000'000.0;  // force queues, hence batches
-  const ServeResult result = run_serve(classes_, weights_, config);
-  EXPECT_EQ(result.charged_bytes + result.reuse_saved_bytes +
-                result.batch_saved_bytes,
-            result.standalone_bytes);
-  EXPECT_LE(result.saved_cycles, result.standalone_cycles);
-  // With overload the FIFO must form at least one multi-request batch.
-  EXPECT_LT(result.batches, result.served);
-  for (const RequestRecord& r : result.requests) {
-    if (r.dropped || r.batch_position == 0) continue;
-    EXPECT_GT(r.savings.batch_saved_bytes, 0u)
-        << "follower " << r.id << " shared no weight fetch";
-  }
+  config.queue_capacity = 1;  // one waiting slot: most arrivals drop
+  const ServeResult bounded = run_serve(classes_, weights_, config);
+  EXPECT_GT(bounded.dropped, 0u);
+  expect_fifo_reference(bounded);
 }
 
 TEST_F(ServeFixture, ServeReportJsonIsValid) {
@@ -206,11 +207,31 @@ TEST(ServeConfigChecks, RejectsDegenerateConfigs) {
   config.arrival_rate = 0.0;
   EXPECT_THROW(run_serve(classes, weights, config), CheckError);
   config = tiny_config();
-  config.max_batch = 0;
-  EXPECT_THROW(run_serve(classes, weights, config), CheckError);
-  config = tiny_config();
   config.queue_capacity = 0;
   EXPECT_THROW(run_serve(classes, weights, config), CheckError);
+}
+
+// An arrival rate so low that the Poisson clock would pass 2^64 (or
+// whose mean gap is not even finite) must be rejected, naming the
+// rate, instead of wrapping the arrival timestamps.
+TEST(ServeConfigChecks, RejectsArrivalClockOverflow) {
+  const GcnWorkload workload = tiny_workload();
+  const std::vector<RequestClass> classes =
+      build_request_classes(workload, 42);
+  const std::vector<DenseMatrix> weights =
+      tiny_weights(workload, classes.front().a_hat);
+  for (const double rate : {1e-9, 1e-300}) {
+    ServeConfig config = tiny_config();
+    config.arrival_rate = rate;
+    try {
+      run_serve(classes, weights, config);
+      ADD_FAILURE() << "rate " << rate << " was accepted";
+    } catch (const CheckError& e) {
+      EXPECT_NE(std::string(e.what()).find("arrival rate"),
+                std::string::npos)
+          << e.what();
+    }
+  }
 }
 
 }  // namespace
