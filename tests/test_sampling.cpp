@@ -256,6 +256,53 @@ TEST_P(SampledFlows, FullFractionHasFullCoverageAndZeroStderr) {
   EXPECT_DOUBLE_EQ(s.aggregation.cycles_stderr, 0.0);
 }
 
+// Sampled estimates pinned to values recorded from a known-good build.
+// The accuracy bound above tolerates a 10 % drift; this catches any
+// change to band timing, band selection or extrapolation at all.
+struct PinnedEstimate {
+  Dataflow flow;
+  Cycle cycles;
+  Cycle combination_cycles;
+  Cycle aggregation_cycles;
+  std::uint64_t dram_bytes;
+  std::uint64_t combination_dram_bytes;
+  std::uint64_t aggregation_dram_bytes;
+  std::uint64_t combination_bands;
+  std::uint64_t aggregation_bands;
+  double combination_stderr;
+  double aggregation_stderr;
+};
+
+TEST(SampledSimulation, EstimatesMatchPinnedValues) {
+  const Problem p = make_problem();
+  const PinnedEstimate pinned[] = {
+      {Dataflow::kOuterProduct, 97130, 71128, 26002, 6126820, 4485814,
+       1641006, 4, 4, 18.305720478070924, 93.901418362965856},
+      {Dataflow::kRowWiseProduct, 41554, 29112, 12442, 399487, 225498,
+       173989, 4, 4, 0.0, 166.91073500045405},
+      {Dataflow::kHybrid, 40063, 29081, 10982, 379304, 225811, 153493, 4,
+       7, 0.94496250558493933, 124.27996439879236},
+  };
+  for (const PinnedEstimate& want : pinned) {
+    SCOPED_TRACE(to_string(want.flow));
+    const auto r = run_sampled(p, want.flow, sampling_options());
+    EXPECT_EQ(r.stats.cycles, want.cycles);
+    EXPECT_EQ(r.combination_stats.cycles, want.combination_cycles);
+    EXPECT_EQ(r.aggregation_stats.cycles, want.aggregation_cycles);
+    EXPECT_EQ(r.stats.dram_total_bytes(), want.dram_bytes);
+    EXPECT_EQ(r.combination_stats.dram_total_bytes(),
+              want.combination_dram_bytes);
+    EXPECT_EQ(r.aggregation_stats.dram_total_bytes(),
+              want.aggregation_dram_bytes);
+    EXPECT_EQ(r.sample.combination.bands_simulated, want.combination_bands);
+    EXPECT_EQ(r.sample.aggregation.bands_simulated, want.aggregation_bands);
+    EXPECT_DOUBLE_EQ(r.sample.combination.cycles_stderr,
+                     want.combination_stderr);
+    EXPECT_DOUBLE_EQ(r.sample.aggregation.cycles_stderr,
+                     want.aggregation_stderr);
+  }
+}
+
 // The adaptive floors: a phase below min_nnz raises its effective
 // fraction to full coverage (exact phase), whatever the request said.
 TEST(SampledSimulation, SmallPhasesCollapseToExactSimulation) {
