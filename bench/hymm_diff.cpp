@@ -1,11 +1,10 @@
-// Run-diff root-cause tool: diffs two run reports (hymm-run-report/4,
-// /5 or /6) or two perf snapshots (hymm-bench/1 or /2) and attributes
-// each paired run's cycle delta to (phase-or-region x stall bucket),
+// Run-diff root-cause tool: diffs two run reports (hymm-run-report/8)
+// or two perf snapshots (hymm-bench/1, /2 or /3) and attributes each
+// paired run's cycle delta to (phase-or-region x stall bucket),
 // printing a ranked attribution table. The per-phase stall vectors
 // sum exactly to the per-phase cycles, so the rows sum exactly to the
-// delta. When both reports carry the /6 "spatial" tile grid at the
-// same geometry, the tiles with the largest cycle deltas are ranked
-// too.
+// delta. When both reports carry the "spatial" tile grid at the same
+// geometry, the tiles with the largest cycle deltas are ranked too.
 //
 //   hymm_diff BASELINE CURRENT [--max-rows N]
 //
@@ -33,9 +32,9 @@ int main(int argc, char** argv) {
     } else if (arg == "--version") {
       std::cout << "hymm_diff\n"
                 << "  run-report schema: " << kRunReportSchema
-                << " (reads /4 and /5 too)\n"
+                << "\n"
                 << "  bench schema:      " << kBenchSchema
-                << " (reads /1 too)\n";
+                << " (reads /1 and /2 too)\n";
       return 0;
     } else if (arg.rfind("--", 0) == 0) {
       std::cerr << "usage: hymm_diff BASELINE CURRENT [--max-rows N]\n";

@@ -7,17 +7,15 @@ Usage:
 Each file must declare a supported schema and satisfy that schema's
 structural requirements:
 
-  hymm-run-report/4..8    "results" array; every result carries the
+  hymm-run-report/8       "results" array; every result carries the
                           required run keys and a "stats" object with
-                          a stall breakdown. "histograms"/"timeseries"
-                          need /5+; "spatial" needs /6 (and its
+                          a stall breakdown. A "spatial" object's
                           per-region cell arrays must match the
                           declared grid geometry, with "pe" counters
-                          and an "imbalance" summary present);
-                          "sample"/"checkpoint" need /7 (a result
-                          labeled "sampled": true must carry a
+                          and an "imbalance" summary present; a
+                          result labeled "sampled": true must carry a
                           "sample" object with per-phase band counts
-                          and error bars).
+                          and error bars.
   hymm-bench/1|2|3        "runs" array; every run carries abbrev,
                           flow, cycles and a stall breakdown; /2 runs
                           also the per-phase breakdown; /3 runs also
@@ -39,13 +37,7 @@ errors or unreadable files.
 import json
 import sys
 
-RUN_REPORT_SCHEMAS = {
-    "hymm-run-report/4": 4,
-    "hymm-run-report/5": 5,
-    "hymm-run-report/6": 6,
-    "hymm-run-report/7": 7,
-    "hymm-run-report/8": 8,
-}
+RUN_REPORT_SCHEMAS = {"hymm-run-report/8": 8}
 BENCH_SCHEMAS = {"hymm-bench/1": 1, "hymm-bench/2": 2, "hymm-bench/3": 3}
 SAMPLE_PHASE_KEYS = ("bands_total", "bands_simulated", "nnz_total",
                      "nnz_simulated", "cycles_estimate", "cycles_stderr")
@@ -128,7 +120,7 @@ def check_sample(sample, where, problems):
                 f"bands_total {bands}")
 
 
-def check_run_report(doc, version, problems):
+def check_run_report(doc, _version, problems):
     results = doc.get("results")
     if not isinstance(results, list) or not results:
         problems.append("missing or empty \"results\" array")
@@ -146,17 +138,10 @@ def check_run_report(doc, version, problems):
             problems.append(f"{where}: missing \"stats\" object")
         else:
             check_stalls(stats, f"{where}.stats", problems)
-        for key, since in (("histograms", 5), ("timeseries", 5),
-                           ("spatial", 6), ("sample", 7),
-                           ("checkpoint", 7)):
-            if key in result and version < since:
-                problems.append(
-                    f"{where}: {key!r} needs hymm-run-report/{since}+ "
-                    f"but the report declares /{version}")
         spatial = result.get("spatial")
-        if version >= 6 and isinstance(spatial, dict):
+        if isinstance(spatial, dict):
             check_spatial(spatial, where, problems)
-        if version >= 7 and result.get("sampled"):
+        if result.get("sampled"):
             sample = result.get("sample")
             if not isinstance(sample, dict):
                 problems.append(

@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Render the "spatial" tile heatmap of a hymm-run-report/6+ report.
+"""Render the "spatial" tile heatmap of a hymm-run-report/8 report.
 
 Usage:
     render_heatmap.py REPORT [--abbrev CR] [--flow HyMM] [--result N]
@@ -37,8 +37,7 @@ import sys
 
 METRICS = ("nnz", "macs", "dmb_hits", "dmb_misses", "dram_bytes",
            "cycles")
-SUPPORTED_SCHEMAS = ("hymm-run-report/6", "hymm-run-report/7",
-                     "hymm-run-report/8")
+SUPPORTED_SCHEMAS = ("hymm-run-report/8",)
 ASCII_RAMP = " .:-=+*#%@"
 
 
@@ -136,7 +135,7 @@ def main(argv):
     parser = argparse.ArgumentParser(
         prog="render_heatmap.py", add_help=True,
         description="Render the spatial tile heatmap of a "
-                    "hymm-run-report/6+ report.")
+                    "hymm-run-report/8 report.")
     parser.add_argument("report")
     parser.add_argument("--abbrev")
     parser.add_argument("--flow")

@@ -2,6 +2,8 @@
 
 #include <bit>
 #include <cstddef>
+#include <functional>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -53,6 +55,235 @@ bool restore_warm_state(const std::vector<std::byte>& blob,
   return true;
 }
 
+// A layer's validated operands in the order the accelerator streams
+// them. For the hybrid that is HyMM's graph preprocessing (Table I):
+// the adjacency and features in degree-sorted order — the request's
+// precomputed sort, or sorted here — and the adjacency split at the
+// global three-region boundaries. Exact and sampled runs share it, so
+// both modes check the same inputs.
+struct LayerOperands {
+  LayerOperands(const LayerRunRequest& request,
+                const AcceleratorConfig& config);
+  LayerOperands(const LayerOperands&) = delete;
+  LayerOperands& operator=(const LayerOperands&) = delete;
+
+  const CsrMatrix* a = nullptr;    // streamed adjacency
+  const CsrMatrix* x = nullptr;    // streamed features
+  const DenseMatrix* w = nullptr;  // weights
+  NodeId n = 0;
+  // 64-byte lines per dense row; 1 for the paper's layer dimension 16.
+  std::size_t chunks = 1;
+  std::span<const NodeId> perm;  // original -> streamed id; hybrid only
+  TiledAdjacency tiled;          // the three-region split; hybrid only
+  double preprocess_ms = 0.0;    // degree-sorting cost (Table II)
+
+ private:
+  DegreeSortResult own_sort_;  // when the hybrid sorts here
+  CsrMatrix own_x_;
+};
+
+LayerOperands::LayerOperands(const LayerRunRequest& request,
+                             const AcceleratorConfig& config)
+    : a(request.a_hat), x(request.x), w(request.w) {
+  HYMM_CHECK(a != nullptr && x != nullptr && w != nullptr);
+  HYMM_CHECK_MSG(!request.sample.has_value() ||
+                     (request.sample->fraction > 0.0 &&
+                      request.sample->fraction <= 1.0),
+                 "sample fraction must be in (0, 1]");
+  HYMM_CHECK(a->rows() == a->cols());
+  HYMM_CHECK(a->cols() == x->rows());
+  HYMM_CHECK(x->cols() == w->rows());
+  n = a->rows();
+  chunks = (static_cast<std::size_t>(w->cols()) + kLaneCount - 1) /
+           kLaneCount;
+  if (request.flow != Dataflow::kHybrid) return;
+
+  Timer timer;
+  const DegreeSortResult* sort = request.sort;
+  if (sort != nullptr) {
+    // Precomputed degree sort (shared immutably by the caller, e.g.
+    // the sweep executor's WorkloadCache); only the region partition
+    // and tiling remain, which depend on this config.
+    HYMM_CHECK_MSG(request.sorted_features != nullptr,
+                   "LayerRunRequest.sort without sorted_features");
+    HYMM_CHECK(sort->perm.size() == n);
+    HYMM_CHECK(sort->sorted.rows() == n);
+    x = request.sorted_features;
+  } else {
+    own_sort_ = degree_sort(*a);
+    own_x_ = permute_feature_rows(*x, own_sort_.perm);
+    sort = &own_sort_;
+    x = &own_x_;
+  }
+  a = &sort->sorted;
+  perm = sort->perm;
+  tiled = TiledAdjacency::build(*a, partition_regions(*a, config, chunks));
+  preprocess_ms =
+      request.sort != nullptr ? request.sort->sort_cost_ms : timer.elapsed_ms();
+}
+
+// The canonical W / XW / AXW / partial-spill address layout. The
+// address map is deterministic, so every MemorySystem that allocates
+// it — the layer's own, a checkpoint's cold build — places each line
+// at the same address.
+struct LayerRegions {
+  AddressRegion w;
+  AddressRegion xw;
+  AddressRegion axw;
+  AddressRegion spill;
+};
+
+LayerRegions allocate_regions(MemorySystem& ms, const LayerOperands& ops) {
+  const std::size_t row_bytes = ops.chunks * kLineBytes;
+  AddressMap& map = ms.address_map();
+  LayerRegions r;
+  r.w = map.allocate("W", static_cast<std::size_t>(ops.w->rows()) * row_bytes,
+                     TrafficClass::kWeights);
+  r.xw = map.allocate("XW", static_cast<std::size_t>(ops.n) * row_bytes,
+                      TrafficClass::kCombined);
+  r.axw = map.allocate("AXW", static_cast<std::size_t>(ops.n) * row_bytes,
+                       TrafficClass::kOutput);
+  r.spill = map.allocate(
+      "partial-spill",
+      static_cast<std::size_t>((ops.x->nnz() + ops.a->nnz() + 1024) * 128 *
+                               ops.chunks),
+      TrafficClass::kPartial);
+  return r;
+}
+
+// Engine parameters of the homogeneous dataflows, one builder per
+// (phase x engine), over the whole streamed operand. The hybrid's
+// aggregation builders live in hybrid_engine.cpp.
+OpEngineParams combination_op_params(const AcceleratorConfig& config,
+                                     const LayerRegions& r,
+                                     const CscMatrix& x, const DenseMatrix& w,
+                                     DenseMatrix& xw) {
+  return {.sparse = &x, .sparse_class = TrafficClass::kFeatures,
+          .b = &w, .b_region = r.w, .b_class = TrafficClass::kWeights,
+          .c = &xw, .c_region = r.xw,
+          .c_final_class = TrafficClass::kCombined,
+          .spill_region = r.spill,
+          .accumulate_in_buffer = config.op_baseline_accumulator,
+          .window = config.engine_window};
+}
+
+RwpEngineParams combination_rwp_params(const AcceleratorConfig& config,
+                                       const LayerRegions& r,
+                                       const CsrMatrix& x,
+                                       const DenseMatrix& w,
+                                       DenseMatrix& xw) {
+  return {.sparse = &x, .sparse_class = TrafficClass::kFeatures,
+          .b = &w, .b_region = r.w, .b_class = TrafficClass::kWeights,
+          .c = &xw, .c_region = r.xw, .c_class = TrafficClass::kCombined,
+          .c_store_kind = StoreKind::kAllocate,
+          .window = config.engine_window};
+}
+
+// Pure OP aggregation: every tile is an OP tile.
+OpEngineParams aggregation_op_params(const AcceleratorConfig& config,
+                                     const LayerRegions& r,
+                                     const CscMatrix& a,
+                                     const DenseMatrix& xw,
+                                     DenseMatrix& axw) {
+  return {.sparse = &a, .sparse_class = TrafficClass::kAdjacency,
+          .b = &xw, .b_region = r.xw, .b_class = TrafficClass::kCombined,
+          .c = &axw, .c_region = r.axw,
+          .c_final_class = TrafficClass::kOutput,
+          .spill_region = r.spill,
+          .accumulate_in_buffer = config.op_baseline_accumulator,
+          .window = config.engine_window,
+          .spatial_in_grid = true, .spatial_region = SpatialRegion::kOp};
+}
+
+// Pure RWP aggregation: every tile is an RWP tile.
+RwpEngineParams aggregation_rwp_params(const AcceleratorConfig& config,
+                                       const LayerRegions& r,
+                                       const CsrMatrix& a,
+                                       const DenseMatrix& xw,
+                                       DenseMatrix& axw) {
+  return {.sparse = &a, .sparse_class = TrafficClass::kAdjacency,
+          .b = &xw, .b_region = r.xw, .b_class = TrafficClass::kCombined,
+          .c = &axw, .c_region = r.axw, .c_class = TrafficClass::kOutput,
+          .c_store_kind = StoreKind::kThrough,
+          .window = config.engine_window,
+          .spatial_in_grid = true,
+          .spatial_region2 = SpatialRegion::kRwp,
+          .spatial_region3 = SpatialRegion::kRwp};
+}
+
+// A [begin, end) span of a phase's streamed dimension: rows of the
+// streamed CSR for RWP engines, columns of the streamed CSC for OP.
+using Band = std::pair<NodeId, NodeId>;
+
+// Runs one engine to completion on `ms` and returns the non-zeros it
+// streamed: the whole sparse operand when `band` is null (nothing is
+// copied), else a copy of that band rebased to global ids. An empty
+// band simulates nothing.
+std::uint64_t simulate(MemorySystem& ms, OpEngineParams op,
+                       const Band* band) {
+  CscMatrix slice;
+  if (band != nullptr) {
+    slice = op.sparse->submatrix_cols(band->first, band->second);
+    if (slice.nnz() == 0) return 0;
+    op.sparse = &slice;
+    op.col_offset += band->first;
+  }
+  OpEngine engine(ms, op);
+  run_phase(ms, engine);
+  return op.sparse->nnz();
+}
+
+std::uint64_t simulate(MemorySystem& ms, RwpEngineParams rwp,
+                       const Band* band) {
+  CsrMatrix slice;
+  if (band != nullptr) {
+    slice = rwp.sparse->submatrix(band->first, band->second, 0,
+                                  rwp.sparse->cols());
+    if (slice.nnz() == 0) return 0;
+    rwp.sparse = &slice;
+    rwp.row_offset += band->first;
+  }
+  RwpEngine engine(ms, rwp);
+  run_phase(ms, engine);
+  return rwp.sparse->nnz();
+}
+
+// Phase tags of the band-selection seed (core/sampling.hpp).
+constexpr std::uint64_t kCombinationTag = 0x636f6d62ULL;  // "comb"
+constexpr std::uint64_t kAggregationTag = 0x61676772ULL;  // "aggr"
+constexpr std::uint64_t kRegion1Tag = 0x72316f70ULL;      // "r1op"
+constexpr std::uint64_t kRegion23Tag = 0x72323372ULL;     // "r23r"
+
+// Sampled mode of one phase: simulates its selected bands back-to-back
+// on `ms`, so warm state carries across bands and phases as in an
+// exact run, and extrapolates. `run(band)` simulates one band and
+// returns its non-zeros. `prologue` and `epilogue` run once around the
+// bands (the hybrid's region-1 pin and writeback); the epilogue's cost
+// enters the estimate once, unscaled.
+PhaseSampleEstimate sample_phase(
+    MemorySystem& ms, const SampleOptions& options, NodeId extent,
+    std::uint64_t nnz_total, std::uint64_t phase_tag,
+    const std::function<std::uint64_t(const Band&)>& run,
+    const std::function<void()>& prologue = {},
+    const std::function<void()>& epilogue = {}) {
+  const BandSelection sel =
+      select_phase_bands(options, extent, nnz_total, phase_tag);
+  if (prologue) prologue();
+  std::vector<BandRun> runs;
+  runs.reserve(sel.selected.size());
+  for (const Band& band : sel.selected) {
+    const SimStats before = ms.snapshot();
+    BandRun band_run;
+    band_run.nnz = run(band);
+    band_run.stats = stats_delta(ms.snapshot(), before);
+    runs.push_back(std::move(band_run));
+  }
+  const SimStats before_epilogue = ms.snapshot();
+  if (epilogue) epilogue();
+  return extrapolate_phase(runs, sel.bands_total, nnz_total,
+                           stats_delta(ms.snapshot(), before_epilogue));
+}
+
 }  // namespace
 
 CheckpointKey combination_checkpoint_key(const CsrMatrix& x_used,
@@ -84,66 +315,16 @@ Accelerator::Accelerator(const AcceleratorConfig& config) : config_(config) {
 }
 
 LayerRunResult Accelerator::run_layer(const LayerRunRequest& request) const {
-  HYMM_CHECK(request.a_hat != nullptr && request.x != nullptr &&
-             request.w != nullptr);
+  const LayerOperands ops(request, config_);
   const Dataflow flow = request.flow;
-  const CsrMatrix& a_hat = *request.a_hat;
-  const CsrMatrix& x = *request.x;
-  const DenseMatrix& w = *request.w;
-  Observer* obs = request.observer;
-  HYMM_CHECK(a_hat.rows() == a_hat.cols());
-  HYMM_CHECK(a_hat.cols() == x.rows());
-  HYMM_CHECK(x.cols() == w.rows());
-
-  const NodeId n = a_hat.rows();
-  // 64-byte lines per dense row; 1 for the paper's layer dimension 16.
-  const std::size_t chunks =
-      (static_cast<std::size_t>(w.cols()) + kLaneCount - 1) / kLaneCount;
+  const std::optional<SampleOptions>& sample = request.sample;
+  // Sampled runs ignore the observer: their bands are not the phases'
+  // events, and their counters are estimates.
+  Observer* obs = sample ? nullptr : request.observer;
   LayerRunResult result;
   result.flow = flow;
-
-  // --- HyMM preprocessing: degree sorting + tiling ---
-  const bool hybrid = flow == Dataflow::kHybrid;
-  CsrMatrix sorted_a;
-  CsrMatrix sorted_x;
-  std::vector<NodeId> perm_local;
-  std::span<const NodeId> perm;
-  const CsrMatrix* a_used = &a_hat;
-  const CsrMatrix* x_used = &x;
-  TiledAdjacency tiled;
-  // Splits the sorted adjacency at the global 3-region boundaries and
-  // records them in result.partition.
-  const auto build_split = [&](const CsrMatrix& sorted) {
-    result.partition = partition_regions(sorted, config_, chunks);
-    tiled = TiledAdjacency::build(sorted, result.partition);
-  };
-  if (hybrid) {
-    if (request.sort != nullptr) {
-      // Precomputed degree sort (shared immutably by the caller, e.g.
-      // the sweep executor's WorkloadCache); only the region
-      // partition and tiling remain, which depend on this config.
-      HYMM_CHECK_MSG(request.sorted_features != nullptr,
-                     "LayerRunRequest.sort without sorted_features");
-      HYMM_CHECK(request.sort->perm.size() == n);
-      HYMM_CHECK(request.sort->sorted.rows() == n);
-      perm = request.sort->perm;
-      a_used = &request.sort->sorted;
-      x_used = request.sorted_features;
-      build_split(*a_used);
-      result.preprocess_ms = request.sort->sort_cost_ms;
-    } else {
-      Timer timer;
-      DegreeSortResult sort = degree_sort(a_hat);
-      perm_local = std::move(sort.perm);
-      perm = perm_local;
-      sorted_a = std::move(sort.sorted);
-      sorted_x = permute_feature_rows(x, perm);
-      a_used = &sorted_a;
-      x_used = &sorted_x;
-      build_split(*a_used);
-      result.preprocess_ms = timer.elapsed_ms();
-    }
-  }
+  result.partition = ops.tiled.partition();
+  result.preprocess_ms = ops.preprocess_ms;
 
   // --- Memory system and address space ---
   MemorySystem ms(config_);
@@ -151,111 +332,77 @@ LayerRunResult Accelerator::run_layer(const LayerRunRequest& request) const {
   // Spatial heatmap grid over the adjacency this layer streams — the
   // degree-sorted order for hybrid runs (tile coordinates then live
   // in sorted space; docs/schemas.md documents the caveat).
-  HYMM_OBS(obs, spatial_begin(n, config_.pe_count));
-  const AddressRegion w_region = ms.address_map().allocate(
-      "W", static_cast<std::size_t>(w.rows()) * chunks * kLineBytes,
-      TrafficClass::kWeights);
-  const AddressRegion xw_region = ms.address_map().allocate(
-      "XW", static_cast<std::size_t>(n) * chunks * kLineBytes,
-      TrafficClass::kCombined);
-  const AddressRegion axw_region = ms.address_map().allocate(
-      "AXW", static_cast<std::size_t>(n) * chunks * kLineBytes,
-      TrafficClass::kOutput);
-  const AddressRegion spill_region = ms.address_map().allocate(
-      "partial-spill",
-      static_cast<std::size_t>((x.nnz() + a_hat.nnz() + 1024) * 128 *
-                               chunks),
-      TrafficClass::kPartial);
-
-  DenseMatrix xw = DenseMatrix::zeros(n, w.cols());
-  DenseMatrix axw = DenseMatrix::zeros(n, w.cols());
+  HYMM_OBS(obs, spatial_begin(ops.n, config_.pe_count));
+  const LayerRegions regions = allocate_regions(ms, ops);
+  // Sampled band MACs retire into these too; only the sparsity
+  // pattern affects timing, so their values never matter there.
+  DenseMatrix xw = DenseMatrix::zeros(ops.n, ops.w->cols());
+  DenseMatrix axw = DenseMatrix::zeros(ops.n, ops.w->cols());
 
   // --- Combination phase: XW = X * W ---
+  const bool op_combination = flow == Dataflow::kOuterProduct;
   CscMatrix x_csc;  // OP architecture streams X column-wise
-  if (flow == Dataflow::kOuterProduct) x_csc = CscMatrix::from_csr(*x_used);
-  // The cold path, reusable against a private MemorySystem so the
-  // checkpoint builder can run it off to the side. The region values
-  // are identical for any MemorySystem that allocated the canonical
-  // W/XW/AXW/spill sequence above (the address map is deterministic).
-  const auto run_combination = [&](MemorySystem& sys, DenseMatrix& out_xw) {
-    if (flow == Dataflow::kOuterProduct) {
-      OpEngineParams op;
-      op.sparse = &x_csc;
-      op.sparse_class = TrafficClass::kFeatures;
-      op.b = &w;
-      op.b_region = w_region;
-      op.b_class = TrafficClass::kWeights;
-      op.c = &out_xw;
-      op.c_region = xw_region;
-      op.c_final_class = TrafficClass::kCombined;
-      op.spill_region = spill_region;
-      op.accumulate_in_buffer = config_.op_baseline_accumulator;
-      op.window = config_.engine_window;
-      OpEngine engine(sys, op);
-      run_phase(sys, engine);
-    } else {
-      RwpEngineParams rwp;
-      rwp.sparse = x_used;
-      rwp.sparse_class = TrafficClass::kFeatures;
-      rwp.b = &w;
-      rwp.b_region = w_region;
-      rwp.b_class = TrafficClass::kWeights;
-      rwp.c = &out_xw;
-      rwp.c_region = xw_region;
-      rwp.c_class = TrafficClass::kCombined;
-      rwp.c_store_kind = StoreKind::kAllocate;
-      rwp.window = config_.engine_window;
-      RwpEngine engine(sys, rwp);
-      run_phase(sys, engine);
-    }
+  if (op_combination) x_csc = CscMatrix::from_csr(*ops.x);
+  const auto combination = [&](MemorySystem& sys, DenseMatrix& out_xw,
+                               const Band* band) {
+    return op_combination
+               ? simulate(sys,
+                          combination_op_params(config_, regions, x_csc,
+                                                *ops.w, out_xw),
+                          band)
+               : simulate(sys,
+                          combination_rwp_params(config_, regions, *ops.x,
+                                                 *ops.w, out_xw),
+                          band);
   };
-  // Observer runs are ineligible: a restored combination would skip
-  // the phase's trace events and counter samples.
-  CheckpointStore* ckpt = obs == nullptr ? request.checkpoints : nullptr;
-  bool restored = false;
-  if (ckpt != nullptr) {
-    const CheckpointKey key =
-        combination_checkpoint_key(*x_used, w, config_, flow);
-    result.checkpoint.enabled = true;
-    result.checkpoint.key = checkpoint_key_hex(key);
-    bool built = false;
-    const auto blob = ckpt->get_or_build(
-        key,
-        [&] {
-          MemorySystem cold(config_);
-          // Replicate the canonical region sequence so embedded
-          // addresses match every restoring run.
-          cold.address_map().allocate("W", w_region.bytes,
-                                      TrafficClass::kWeights);
-          cold.address_map().allocate("XW", xw_region.bytes,
-                                      TrafficClass::kCombined);
-          cold.address_map().allocate("AXW", axw_region.bytes,
-                                      TrafficClass::kOutput);
-          cold.address_map().allocate("partial-spill", spill_region.bytes,
-                                      TrafficClass::kPartial);
-          DenseMatrix cold_xw = DenseMatrix::zeros(n, w.cols());
-          run_combination(cold, cold_xw);
-          std::vector<std::byte> sealed =
-              serialize_warm_state(key, cold, cold_xw);
+  if (sample) {
+    result.sample.combination = sample_phase(
+        ms, *sample, op_combination ? x_csc.cols() : ops.x->rows(),
+        ops.x->nnz(), kCombinationTag,
+        [&](const Band& band) { return combination(ms, xw, &band); });
+    result.combination_stats = result.sample.combination.stats;
+  } else {
+    // Observer runs are ineligible: a restored combination would skip
+    // the phase's trace events and counter samples.
+    CheckpointStore* ckpt = obs == nullptr ? request.checkpoints : nullptr;
+    bool restored = false;
+    if (ckpt != nullptr) {
+      const CheckpointKey key =
+          combination_checkpoint_key(*ops.x, *ops.w, config_, flow);
+      result.checkpoint.enabled = true;
+      result.checkpoint.key = checkpoint_key_hex(key);
+      bool built = false;
+      const auto blob = ckpt->get_or_build(
+          key,
+          [&] {
+            // The cold run on a private MemorySystem with the canonical
+            // layout, so embedded addresses match every restoring run.
+            MemorySystem cold(config_);
+            allocate_regions(cold, ops);
+            DenseMatrix cold_xw = DenseMatrix::zeros(ops.n, ops.w->cols());
+            combination(cold, cold_xw, nullptr);
+            std::vector<std::byte> sealed =
+                serialize_warm_state(key, cold, cold_xw);
 #ifndef NDEBUG
-          // Round-trip soundness: restoring the blob and re-serializing
-          // must reproduce it byte for byte.
-          MemorySystem check(config_);
-          DenseMatrix check_xw = DenseMatrix::zeros(n, w.cols());
-          HYMM_DCHECK(restore_warm_state(sealed, key, check, check_xw));
-          HYMM_DCHECK(serialize_warm_state(key, check, check_xw) == sealed);
+            // Round-trip soundness: restoring the blob and
+            // re-serializing must reproduce it byte for byte.
+            MemorySystem check(config_);
+            DenseMatrix check_xw = DenseMatrix::zeros(ops.n, ops.w->cols());
+            HYMM_DCHECK(restore_warm_state(sealed, key, check, check_xw));
+            HYMM_DCHECK(serialize_warm_state(key, check, check_xw) ==
+                        sealed);
 #endif
-          return sealed;
-        },
-        &built);
-    result.checkpoint.built = built;
-    restored = blob != nullptr && restore_warm_state(*blob, key, ms, xw);
-    result.checkpoint.restored = restored;
+            return sealed;
+          },
+          &built);
+      result.checkpoint.built = built;
+      restored = blob != nullptr && restore_warm_state(*blob, key, ms, xw);
+      result.checkpoint.restored = restored;
+    }
+    if (!restored) combination(ms, xw, nullptr);
+    result.combination_stats = ms.snapshot();
+    HYMM_OBS(obs, phase_span("combination", 0, ms.now()));
   }
-  if (!restored) run_combination(ms, xw);
-  result.combination_stats = ms.stats();
-  result.combination_stats.cycles = ms.now();
-  HYMM_OBS(obs, phase_span("combination", 0, ms.now()));
   const Cycle aggregation_start = ms.now();
 
   // --- Aggregation phase: AXW = A_hat * XW ---
@@ -263,75 +410,81 @@ LayerRunResult Accelerator::run_layer(const LayerRunRequest& request) const {
   // combination results survive in the unified buffer instead.
   ms.dmb().demote_class(TrafficClass::kWeights);
   CscMatrix a_csc;
-  switch (flow) {
-    case Dataflow::kRowWiseProduct: {
-      RwpEngineParams rwp;
-      rwp.sparse = a_used;
-      rwp.sparse_class = TrafficClass::kAdjacency;
-      rwp.b = &xw;
-      rwp.b_region = xw_region;
-      rwp.b_class = TrafficClass::kCombined;
-      rwp.c = &axw;
-      rwp.c_region = axw_region;
-      rwp.c_class = TrafficClass::kOutput;
-      rwp.c_store_kind = StoreKind::kThrough;
-      rwp.window = config_.engine_window;
-      // Pure RWP aggregation: every tile is an RWP tile.
-      rwp.spatial_in_grid = true;
-      rwp.spatial_region2 = SpatialRegion::kRwp;
-      rwp.spatial_region3 = SpatialRegion::kRwp;
-      RwpEngine engine(ms, rwp);
-      run_phase(ms, engine);
-      break;
+  if (flow == Dataflow::kOuterProduct) a_csc = CscMatrix::from_csr(*ops.a);
+  const auto aggregation = [&](const Band* band) {
+    return flow == Dataflow::kOuterProduct
+               ? simulate(ms,
+                          aggregation_op_params(config_, regions, a_csc, xw,
+                                                axw),
+                          band)
+               : simulate(ms,
+                          aggregation_rwp_params(config_, regions, *ops.a,
+                                                 xw, axw),
+                          band);
+  };
+  const HybridAggregationParams hybrid{
+      .tiled = &ops.tiled, .b = &xw, .b_region = regions.xw,
+      .b_class = TrafficClass::kCombined, .c = &axw,
+      .c_region = regions.axw, .spill_region = regions.spill};
+  if (!sample) {
+    if (flow == Dataflow::kHybrid) {
+      result.hybrid_info = run_hybrid_aggregation(ms, hybrid);
+    } else {
+      aggregation(nullptr);
     }
-    case Dataflow::kOuterProduct: {
-      a_csc = CscMatrix::from_csr(*a_used);
-      OpEngineParams op;
-      op.sparse = &a_csc;
-      op.sparse_class = TrafficClass::kAdjacency;
-      op.b = &xw;
-      op.b_region = xw_region;
-      op.b_class = TrafficClass::kCombined;
-      op.c = &axw;
-      op.c_region = axw_region;
-      op.c_final_class = TrafficClass::kOutput;
-      op.spill_region = spill_region;
-      op.accumulate_in_buffer = config_.op_baseline_accumulator;
-      op.window = config_.engine_window;
-      // Pure OP aggregation: every tile is an OP tile.
-      op.spatial_in_grid = true;
-      op.spatial_region = SpatialRegion::kOp;
-      OpEngine engine(ms, op);
-      run_phase(ms, engine);
-      break;
-    }
-    case Dataflow::kHybrid: {
-      HybridAggregationParams params;
-      params.tiled = &tiled;
-      params.b = &xw;
-      params.b_region = xw_region;
-      params.b_class = TrafficClass::kCombined;
-      params.c = &axw;
-      params.c_region = axw_region;
-      params.spill_region = spill_region;
-      result.hybrid_info = run_hybrid_aggregation(ms, params);
-      break;
-    }
+  } else if (flow == Dataflow::kHybrid) {
+    // Region 1 (OP, outputs pinned across all its bands) then regions
+    // 2/3 (RWP), each sampled as its own sub-phase.
+    const CscMatrix& r1 = ops.tiled.region1_csc();
+    const CsrMatrix& r23 = ops.tiled.region23_csr();
+    const PhaseSampleEstimate r1_estimate =
+        r1.nnz() > 0
+            ? sample_phase(
+                  ms, *sample, ops.n, r1.nnz(), kRegion1Tag,
+                  [&](const Band& band) {
+                    return simulate(ms, region1_op_params(hybrid, config_),
+                                    &band);
+                  },
+                  [&] { pin_region1_outputs(ms, hybrid); },
+                  [&] { writeback_region1_outputs(ms); })
+            : PhaseSampleEstimate{};
+    const PhaseSampleEstimate r23_estimate =
+        r23.nnz() > 0
+            ? sample_phase(ms, *sample, r23.rows(), r23.nnz(), kRegion23Tag,
+                           [&](const Band& band) {
+                             return simulate(
+                                 ms, region23_rwp_params(hybrid, config_),
+                                 &band);
+                           })
+            : PhaseSampleEstimate{};
+    result.sample.aggregation = combine_estimates(r1_estimate, r23_estimate);
+  } else {
+    result.sample.aggregation =
+        sample_phase(ms, *sample, ops.n, ops.a->nnz(), kAggregationTag,
+                     [&](const Band& band) { return aggregation(&band); });
   }
 
-  result.stats = ms.stats();
-  result.stats.cycles = ms.now();
+  if (sample) {
+    result.sample.enabled = true;
+    result.sample.fraction = sample->fraction;
+    result.sample.seed = sample->seed;
+    result.aggregation_stats = result.sample.aggregation.stats;
+    result.stats = result.combination_stats;
+    result.stats.merge_phase(result.aggregation_stats);
+    return result;
+  }
+  result.stats = ms.snapshot();
   result.aggregation_stats =
       stats_delta(result.stats, result.combination_stats);
   HYMM_OBS(obs, phase_span("aggregation", aggregation_start, ms.now()));
 
   // --- Return results in the original node order ---
-  if (hybrid) {
-    DenseMatrix xw_orig(n, w.cols());
-    DenseMatrix axw_orig(n, w.cols());
-    for (NodeId old_id = 0; old_id < n; ++old_id) {
-      const NodeId new_id = perm[old_id];
-      for (NodeId c = 0; c < w.cols(); ++c) {
+  if (flow == Dataflow::kHybrid) {
+    DenseMatrix xw_orig(ops.n, ops.w->cols());
+    DenseMatrix axw_orig(ops.n, ops.w->cols());
+    for (NodeId old_id = 0; old_id < ops.n; ++old_id) {
+      const NodeId new_id = ops.perm[old_id];
+      for (NodeId c = 0; c < ops.w->cols(); ++c) {
         xw_orig.at(old_id, c) = xw.at(new_id, c);
         axw_orig.at(old_id, c) = axw.at(new_id, c);
       }

@@ -9,9 +9,12 @@
 ///   HyMM         | RWP         | OP (R1) + RWP     | degree sorting
 #pragma once
 
+#include <optional>
+
 #include "common/config.hpp"
 #include "core/engine.hpp"
 #include "core/hybrid_engine.hpp"
+#include "core/sampling.hpp"
 #include "graph/csr.hpp"
 #include "graph/degree_sort.hpp"
 #include "graph/partition.hpp"
@@ -31,14 +34,18 @@ struct LayerCheckpointInfo {
 };
 
 /// Outcome of one simulated GCN layer (`Accelerator::run_layer`).
+/// A sampled run (LayerRunRequest::sample) has no functional output —
+/// its band MACs retire against scratch values — and its counters are
+/// the extrapolated estimates described by `sample`.
 struct LayerRunResult {
   Dataflow flow = Dataflow::kRowWiseProduct;  ///< dataflow that ran
 
   /// Functional combination output XW in the ORIGINAL node order
   /// (HyMM's internal degree-sorted order is un-permuted before
-  /// returning).
+  /// returning). Empty on sampled runs.
   DenseMatrix combination;
-  DenseMatrix output;  ///< A_hat * XW, pre-activation, original order
+  /// A_hat * XW, pre-activation, original order. Empty on sampled runs.
+  DenseMatrix output;
 
   SimStats stats;              ///< whole-layer counters
   SimStats combination_stats;  ///< combination-phase deltas
@@ -52,6 +59,10 @@ struct LayerRunResult {
 
   /// Warm-state checkpoint interaction of this run.
   LayerCheckpointInfo checkpoint;
+
+  /// Estimator detail and error bars of a sampled run (enabled=false
+  /// on exact runs).
+  SampleInfo sample;
 
   /// Wall-clock the modeled hardware would take at clock_ghz (1e6
   /// cycles = 1 ms at 1 GHz; convention shared repo-wide).
@@ -89,6 +100,11 @@ struct LayerRunRequest {
   /// Ignored when an observer is attached — the restored run would
   /// miss the combination phase's trace events and counter samples.
   CheckpointStore* checkpoints = nullptr;
+
+  /// Sampled mode (core/sampling.hpp) when set: each phase simulates a
+  /// seeded subset of tile bands and extrapolates. The observer and
+  /// checkpoints are ignored and no functional output is produced.
+  std::optional<SampleOptions> sample = std::nullopt;
 };
 
 /// Key identifying the combination phase's warm state: the streamed
@@ -112,7 +128,8 @@ class Accelerator {
   /// The hardware parameters this instance was built with.
   const AcceleratorConfig& config() const { return config_; }
 
-  /// Simulates one GCN layer H = a_hat * x * w (no activation).
+  /// Simulates one GCN layer H = a_hat * x * w (no activation), in
+  /// full or, with request.sample set, as a sampled estimate.
   LayerRunResult run_layer(const LayerRunRequest& request) const;
 
  private:

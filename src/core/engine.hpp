@@ -51,6 +51,13 @@ class MemorySystem {
   SimStats& stats() { return stats_; }
   /// Cycle/traffic counters of the current run.
   const SimStats& stats() const { return stats_; }
+  /// The counters with `cycles` set to the current clock, for phase
+  /// and band deltas (stats_delta).
+  SimStats snapshot() const {
+    SimStats s = stats_;
+    s.cycles = now();
+    return s;
+  }
   /// Region allocator mapping operands to address ranges.
   AddressMap& address_map() { return address_map_; }
   /// Off-chip memory model.

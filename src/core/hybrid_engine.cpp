@@ -5,6 +5,66 @@
 
 namespace hymm {
 
+OpEngineParams region1_op_params(const HybridAggregationParams& params,
+                                 const AcceleratorConfig& config) {
+  const bool accumulate = config.near_memory_accumulator;
+  return {.sparse = &params.tiled->region1_csc(),
+          .sparse_class = TrafficClass::kAdjacency,
+          .b = params.b, .b_region = params.b_region,
+          .b_class = params.b_class,
+          .c = params.c, .c_region = params.c_region,
+          .c_final_class = TrafficClass::kOutput,
+          .spill_region = params.spill_region,
+          .accumulate_in_buffer = accumulate,
+          .outputs_pinned = accumulate,
+          .window = config.engine_window,
+          .spatial_in_grid = true, .spatial_region = SpatialRegion::kOp};
+}
+
+RwpEngineParams region23_rwp_params(const HybridAggregationParams& params,
+                                    const AcceleratorConfig& config) {
+  const RegionPartition& partition = params.tiled->partition();
+  // Spatial attribution follows the exact per-MAC region decision,
+  // not the proportional region_stats split of run_hybrid_aggregation.
+  return {.sparse = &params.tiled->region23_csr(),
+          .sparse_class = TrafficClass::kAdjacency,
+          .b = params.b, .b_region = params.b_region,
+          .b_class = params.b_class,
+          .c = params.c, .c_region = params.c_region,
+          .c_class = TrafficClass::kOutput,
+          .c_store_kind = StoreKind::kThrough,
+          .row_offset = partition.region1_rows,
+          .region2_col_boundary = partition.region2_cols,
+          .window = config.engine_window,
+          .spatial_in_grid = true,
+          .spatial_region2 = SpatialRegion::kRwp,
+          .spatial_region3 = SpatialRegion::kRegion3};
+}
+
+void pin_region1_outputs(MemorySystem& ms,
+                         const HybridAggregationParams& params) {
+  if (!ms.config().near_memory_accumulator) return;
+  const std::size_t chunks =
+      (static_cast<std::size_t>(params.b->cols()) + kLaneCount - 1) /
+      kLaneCount;
+  for (NodeId r = 0; r < params.tiled->partition().region1_rows; ++r) {
+    const Addr base = params.c_region.line_of(r, chunks);
+    for (std::size_t chunk = 0; chunk < chunks; ++chunk) {
+      const bool pinned =
+          ms.dmb().pin_partial(base + chunk * kLineBytes, ms.now());
+      HYMM_CHECK_MSG(pinned,
+                     "region-1 rows exceed the DMB pin capacity — "
+                     "partition_regions() must clamp them");
+    }
+  }
+}
+
+void writeback_region1_outputs(MemorySystem& ms) {
+  if (ms.config().near_memory_accumulator) {
+    ms.dmb().unpin_and_writeback_outputs(ms.now());
+  }
+}
+
 HybridAggregationInfo run_hybrid_aggregation(
     MemorySystem& ms, const HybridAggregationParams& params) {
   HYMM_CHECK(params.tiled != nullptr);
@@ -16,82 +76,29 @@ HybridAggregationInfo run_hybrid_aggregation(
 
   HybridAggregationInfo info;
   info.pinned_rows = partition.region1_rows;
-  const std::size_t chunks =
-      (static_cast<std::size_t>(params.b->cols()) + kLaneCount - 1) /
-      kLaneCount;
 
   // --- Phase 1: OP over region 1 with pinned outputs ---
-  const bool accumulate = ms.config().near_memory_accumulator;
   const Cycle op_start = ms.now();
-  SimStats before_op = ms.stats();
-  before_op.cycles = ms.now();
+  const SimStats before_op = ms.snapshot();
   if (partition.region1_rows > 0 && op_csc.nnz() > 0) {
-    if (accumulate) {
-      for (NodeId r = 0; r < partition.region1_rows; ++r) {
-        const Addr base = params.c_region.line_of(r, chunks);
-        for (std::size_t chunk = 0; chunk < chunks; ++chunk) {
-          const bool pinned =
-              ms.dmb().pin_partial(base + chunk * kLineBytes, ms.now());
-          HYMM_CHECK_MSG(pinned,
-                         "partition chose more region-1 rows than the DMB "
-                         "can pin — partition_regions() must clamp this");
-        }
-      }
-    }
-    OpEngineParams op;
-    op.sparse = &op_csc;
-    op.sparse_class = TrafficClass::kAdjacency;
-    op.b = params.b;
-    op.b_region = params.b_region;
-    op.b_class = params.b_class;
-    op.c = params.c;
-    op.c_region = params.c_region;
-    op.c_final_class = TrafficClass::kOutput;
-    op.spill_region = params.spill_region;
-    op.accumulate_in_buffer = accumulate;
-    op.outputs_pinned = accumulate;
-    op.window = ms.config().engine_window;
-    op.spatial_in_grid = true;
-    op.spatial_region = SpatialRegion::kOp;
-    OpEngine engine(ms, op);
+    pin_region1_outputs(ms, params);
+    OpEngine engine(ms, region1_op_params(params, ms.config()));
     info.op_phase_cycles = run_phase(ms, engine);
-    // Finished region-1 rows stream out exactly once.
-    if (accumulate) ms.dmb().unpin_and_writeback_outputs(ms.now());
+    writeback_region1_outputs(ms);
   }
-  SimStats after_op = ms.stats();
-  after_op.cycles = ms.now();
+  const SimStats after_op = ms.snapshot();
   info.op_phase_stats = stats_delta(after_op, before_op);
   HYMM_OBS(ms.observer(), region_span("region1 (OP)", op_start, ms.now()));
 
   // --- Phase 2: RWP over regions 2 and 3 ---
   const Cycle rwp_start = ms.now();
   if (rwp_csr.nnz() > 0) {
-    RwpEngineParams rwp;
-    rwp.sparse = &rwp_csr;
-    rwp.sparse_class = TrafficClass::kAdjacency;
-    rwp.b = params.b;
-    rwp.b_region = params.b_region;
-    rwp.b_class = params.b_class;
-    rwp.c = params.c;
-    rwp.c_region = params.c_region;
-    rwp.c_class = TrafficClass::kOutput;
-    rwp.c_store_kind = StoreKind::kThrough;
-    rwp.row_offset = partition.region1_rows;
-    rwp.region2_col_boundary = partition.region2_cols;
-    rwp.window = ms.config().engine_window;
-    // Spatial attribution follows the exact per-MAC region decision,
-    // not the proportional region_stats split below.
-    rwp.spatial_in_grid = true;
-    rwp.spatial_region2 = SpatialRegion::kRwp;
-    rwp.spatial_region3 = SpatialRegion::kRegion3;
-    RwpEngine engine(ms, rwp);
+    RwpEngine engine(ms, region23_rwp_params(params, ms.config()));
     info.rwp_phase_cycles = run_phase(ms, engine);
     info.region2_macs = engine.region2_macs();
     info.region3_macs = engine.region3_macs();
   }
-  SimStats after_rwp = ms.stats();
-  after_rwp.cycles = ms.now();
-  info.rwp_phase_stats = stats_delta(after_rwp, after_op);
+  info.rwp_phase_stats = stats_delta(ms.snapshot(), after_op);
 
   // --- Per-region breakdown ---
   info.region_stats[0] = info.op_phase_stats;

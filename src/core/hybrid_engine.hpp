@@ -64,4 +64,25 @@ struct HybridAggregationInfo {
 HybridAggregationInfo run_hybrid_aggregation(
     MemorySystem& ms, const HybridAggregationParams& params);
 
+/// Engine parameters of the region-1 OP pass over the whole region-1
+/// CSC (sampled runs restrict them to one column band at a time).
+OpEngineParams region1_op_params(const HybridAggregationParams& params,
+                                 const AcceleratorConfig& config);
+
+/// Engine parameters of the region-2/3 RWP pass over the whole rebased
+/// region-2/3 CSR (sampled runs restrict them to one row band at a
+/// time).
+RwpEngineParams region23_rwp_params(const HybridAggregationParams& params,
+                                    const AcceleratorConfig& config);
+
+/// Pins every region-1 output line in the DMB before the OP pass, so
+/// partials merge in place by the near-memory accumulator. A no-op
+/// without the accumulator (region 1 then appends spill records).
+void pin_region1_outputs(MemorySystem& ms,
+                         const HybridAggregationParams& params);
+
+/// Streams the finished region-1 rows out exactly once and releases
+/// their pins. A no-op without the near-memory accumulator.
+void writeback_region1_outputs(MemorySystem& ms);
+
 }  // namespace hymm

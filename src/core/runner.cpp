@@ -13,51 +13,6 @@ ExperimentResult run_experiment(const ExperimentRequest& request) {
   const AcceleratorConfig& config = request.config;
   const DenseMatrix& reference_output = *request.reference;
 
-  if (request.sample > 0.0) {
-    // Sampled mode: seeded band subset + extrapolation instead of the
-    // full cycle-accurate run. No functional output, so the result is
-    // never verified; observer and checkpoints do not apply.
-    SampledLayerRequest sampled_request;
-    sampled_request.flow = request.flow;
-    sampled_request.a_hat = request.a_hat;
-    sampled_request.x = &workload.features;
-    sampled_request.w = request.weights;
-    sampled_request.sort = request.sort;
-    sampled_request.sorted_features = request.sorted_features;
-    sampled_request.options.fraction = request.sample;
-    sampled_request.options.seed = request.sample_seed;
-    const auto sim_begin = std::chrono::steady_clock::now();
-    const SampledLayerResult layer = run_layer_sampled(config, sampled_request);
-    const auto sim_end = std::chrono::steady_clock::now();
-
-    ExperimentResult r;
-    r.sim_wall_ms =
-        std::chrono::duration<double, std::milli>(sim_end - sim_begin)
-            .count();
-    r.dataset = workload.spec.name;
-    r.abbrev = workload.spec.abbrev;
-    r.scale = workload.scale;
-    r.flow = request.flow;
-    r.cycles = layer.stats.cycles;
-    r.alu_utilization = layer.stats.alu_utilization();
-    r.dmb_hit_rate = layer.stats.dmb_hit_rate();
-    r.dram_total_bytes = layer.stats.dram_total_bytes();
-    r.dram_read_bytes = layer.stats.dram_read_bytes;
-    r.dram_write_bytes = layer.stats.dram_write_bytes;
-    r.partial_bytes_peak = layer.stats.partial_bytes_peak;
-    r.mac_ops = layer.stats.mac_ops;
-    r.dram_peak_bytes_per_cycle = config.dram_bytes_per_cycle;
-    r.combination_cycles = layer.combination_stats.cycles;
-    r.aggregation_cycles = layer.aggregation_stats.cycles;
-    r.preprocess_ms = layer.preprocess_ms;
-    r.partition = layer.partition;
-    r.stats = layer.stats;
-    r.combination_stats = layer.combination_stats;
-    r.aggregation_stats = layer.aggregation_stats;
-    r.sample = layer.sample;
-    return r;
-  }
-
   Accelerator accelerator(config);
   LayerRunRequest layer_request;
   layer_request.flow = request.flow;
@@ -68,6 +23,13 @@ ExperimentResult run_experiment(const ExperimentRequest& request) {
   layer_request.sort = request.sort;
   layer_request.sorted_features = request.sorted_features;
   layer_request.checkpoints = request.checkpoints;
+  if (request.sample > 0.0) {
+    // Sampled mode: seeded band subset + extrapolation instead of the
+    // full cycle-accurate run. No functional output, so the result is
+    // never verified; observer and checkpoints do not apply.
+    layer_request.sample = SampleOptions{.fraction = request.sample,
+                                         .seed = request.sample_seed};
+  }
   const auto sim_begin = std::chrono::steady_clock::now();
   const LayerRunResult layer = accelerator.run_layer(layer_request);
   const auto sim_end = std::chrono::steady_clock::now();
@@ -98,6 +60,8 @@ ExperimentResult run_experiment(const ExperimentRequest& request) {
   r.aggregation_stats = layer.aggregation_stats;
   r.hybrid_info = layer.hybrid_info;
   r.checkpoint = layer.checkpoint;
+  r.sample = layer.sample;
+  if (r.sample.enabled) return r;  // nothing to verify or observe
   r.max_abs_err =
       DenseMatrix::max_abs_diff(layer.output, reference_output);
   r.verified = DenseMatrix::allclose(layer.output, reference_output,

@@ -1,31 +1,30 @@
 /// @file
-/// Sampled simulation mode (--sample / HYMM_SAMPLE): instead of
-/// simulating every non-zero of a layer, each phase simulates a
-/// deterministic, seeded subset of contiguous tile bands in full
-/// cycle-accurate detail — row bands of the streamed CSR for
-/// RWP-family phases, column bands of the streamed CSC for OP-family
-/// phases — and extrapolates cycles, stall vectors and DRAM bytes to
-/// the whole phase with a non-zero-weighted ratio estimator.
+/// The sampled-simulation estimator (--sample / HYMM_SAMPLE): which
+/// tile bands a phase simulates and how their measurements extrapolate
+/// to the whole phase. `Accelerator::run_layer` runs a layer in
+/// sampled mode when `LayerRunRequest::sample` is set; it simulates
+/// each selected band in full cycle-accurate detail, back-to-back on
+/// the layer's one MemorySystem, and hands the per-band counter deltas
+/// to `extrapolate_phase`.
 ///
-/// Estimator. Bands are near-equal spans of the streamed dimension;
-/// with fraction f and B bands, k = max(1, round(f*B)) bands are
-/// chosen by seeded stratified selection (one uniform draw per
-/// contiguous stratum of bands, so every part of the degree
-/// distribution is represented). All bands of the whole layer run
-/// back-to-back on ONE shared MemorySystem with the canonical
-/// W/XW/AXW/spill address layout of an exact run, so warm state (the
-/// W working set in combination, the XW lines the aggregation phase
-/// inherits) carries across bands and phases exactly as it does in a
-/// full run. With per-band cycles y_i and non-zeros x_i, the phase
+/// Bands. A phase's streamed dimension — rows of the streamed CSR for
+/// RWP-family phases, columns of the streamed CSC for OP-family phases
+/// — splits into near-equal bands; with fraction f and B bands,
+/// k = max(1, round(f*B)) bands are chosen by seeded stratified
+/// selection (one uniform draw per contiguous stratum of bands, so
+/// every part of the degree distribution is represented).
+///
+/// Estimator. With per-band cycles y_i and non-zeros x_i, the phase
 /// estimate is warm-start-corrected: the first band pays the phase's
 /// compulsory misses and enters the estimate once, unscaled, while
 /// only the warm bands' rate R_warm = sum_{i>=2} y_i / sum_{i>=2} x_i
 /// is extrapolated — t = y_1 + R_warm * (X - x_1) for phase total X.
 /// Every other additive counter scales the same way (scale_stats,
-/// which keeps the stall-bucket invariant exact). The reported
-/// 1-sigma error bar is the ratio-estimator standard error with
-/// finite-population correction over the warm bands' residuals
-/// e_i = y_i - R_warm*x_i.
+/// which keeps the stall-bucket invariant exact). A phase's one-time
+/// costs (the hybrid's pinned-output writeback) enter once, unscaled.
+/// The reported 1-sigma error bar is the ratio-estimator standard
+/// error with finite-population correction over the warm bands'
+/// residuals e_i = y_i - R_warm*x_i.
 ///
 /// Bias control beyond the warm-start correction: each band restarts
 /// its engine (a pipeline drain an exact run pays once per phase), so
@@ -44,11 +43,7 @@
 #include <utility>
 #include <vector>
 
-#include "common/config.hpp"
-#include "graph/csr.hpp"
-#include "graph/degree_sort.hpp"
-#include "graph/partition.hpp"
-#include "linalg/dense.hpp"
+#include "common/types.hpp"
 #include "sim/stats.hpp"
 
 namespace hymm {
@@ -113,45 +108,43 @@ struct SampleInfo {
   double rel_error_bound() const;
 };
 
-/// Everything one sampled layer run needs (mirrors LayerRunRequest;
-/// observers and checkpoints do not apply to sampled runs).
-struct SampledLayerRequest {
-  Dataflow flow = Dataflow::kRowWiseProduct;
-  const CsrMatrix* a_hat = nullptr;  ///< required: normalized adjacency
-  const CsrMatrix* x = nullptr;      ///< required: feature matrix
-  const DenseMatrix* w = nullptr;    ///< required: layer weights
-  const DegreeSortResult* sort = nullptr;      ///< optional precomputed sort
-  const CsrMatrix* sorted_features = nullptr;  ///< features under `sort`
-  SampleOptions options;
-};
-
-/// What a sampled layer run produces: extrapolated counters only — no
-/// functional output (band runs retire MACs against scratch values),
-/// so sampled results can never be verified against the golden model.
-struct SampledLayerResult {
-  Dataflow flow = Dataflow::kRowWiseProduct;
-  SimStats stats;              ///< whole-layer extrapolated counters
-  SimStats combination_stats;  ///< XW-phase extrapolation
-  SimStats aggregation_stats;  ///< aggregation-phase extrapolation
-  RegionPartition partition;   ///< hybrid only
-  double preprocess_ms = 0.0;  ///< host preprocessing (hybrid sort)
-  SampleInfo sample;           ///< estimator detail + error bars
-};
-
-/// Simulates a seeded subset of tile bands per phase and extrapolates
-/// (see file comment). Deterministic for fixed (request, config).
-SampledLayerResult run_layer_sampled(const AcceleratorConfig& config,
-                                     const SampledLayerRequest& request);
-
-/// The deterministic band selection, exposed for tests: splits
-/// [0, extent) into near-equal bands of at most band_target count and
-/// returns the stratified seeded choice of round(fraction * bands)
-/// bands (at least one), in ascending order.
+/// The deterministic band selection: splits [0, extent) into
+/// near-equal bands of at most band_target count and returns the
+/// stratified seeded choice of round(fraction * bands) bands (at least
+/// one), in ascending order.
 struct BandSelection {
   std::uint64_t bands_total = 0;
   std::vector<std::pair<NodeId, NodeId>> selected;  ///< [begin, end) spans
 };
 BandSelection select_sample_bands(NodeId extent, NodeId band_target,
                                   double fraction, std::uint64_t seed);
+
+/// The bands one phase simulates: select_sample_bands after the
+/// adaptive floors of `options` (min_nnz raises the fraction,
+/// min_band_nnz lowers the band count), seeded by `options.seed`
+/// combined with `phase_tag` so phases draw independent bands.
+BandSelection select_phase_bands(const SampleOptions& options, NodeId extent,
+                                 std::uint64_t nnz_total,
+                                 std::uint64_t phase_tag);
+
+/// One simulated band: its non-zero weight and its counter delta
+/// (stats.cycles = cycles the band consumed on the shared machine).
+struct BandRun {
+  std::uint64_t nnz = 0;
+  SimStats stats;
+};
+
+/// The phase estimate from its simulated bands (in simulation order;
+/// the first is the cold band) plus the phase's one-time costs, which
+/// enter once, unscaled (see file comment).
+PhaseSampleEstimate extrapolate_phase(const std::vector<BandRun>& runs,
+                                      std::uint64_t bands_total,
+                                      std::uint64_t nnz_total,
+                                      const SimStats& one_time);
+
+/// Sums two independent sub-phase estimates (the hybrid aggregation's
+/// region-1 OP and region-2/3 RWP passes): totals add, variances add.
+PhaseSampleEstimate combine_estimates(const PhaseSampleEstimate& a,
+                                      const PhaseSampleEstimate& b);
 
 }  // namespace hymm

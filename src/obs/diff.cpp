@@ -60,7 +60,7 @@ void accumulate_cells(const JsonValue* arr, std::size_t cells,
   }
 }
 
-// The /6 "spatial" object reduced to a region-summed tile grid of
+// The "spatial" object reduced to a region-summed tile grid of
 // cycles and DRAM bytes. Malformed geometry yields an empty grid.
 TileGrid read_tile_grid(const JsonValue* spatial) {
   TileGrid grid;
@@ -169,9 +169,7 @@ std::optional<ReportSnapshot> normalize_bench(const JsonValue& doc,
 std::optional<ReportSnapshot> normalize_report(const JsonValue& doc,
                                                std::string* error) {
   const std::string schema = doc.get_string("schema");
-  if (schema == "hymm-run-report/4" || schema == "hymm-run-report/5" ||
-      schema == "hymm-run-report/6" || schema == "hymm-run-report/7" ||
-      schema == "hymm-run-report/8") {
+  if (schema == "hymm-run-report/8") {
     return normalize_run_report(doc, error);
   }
   if (schema == "hymm-bench/1" || schema == "hymm-bench/2" ||

@@ -1,12 +1,12 @@
 /// @file
 /// Run-diff root-cause analysis (the hymm_diff tool, bench/hymm_diff):
-/// loads two run reports — hymm-run-report/4..8 or hymm-bench/1..3
+/// loads two run reports — hymm-run-report/8 or hymm-bench/1..3
 /// snapshots — pairs their runs by (abbrev, flow) and attributes
 /// each pair's cycle delta to (phase-or-region x stall bucket). The
 /// per-phase stall vectors sum exactly to the per-phase cycle counts
 /// (the simulator's cycle-accounting invariant), so the attribution
 /// rows sum exactly to the cycle delta: no residual bucket, no
-/// estimate. When both /6 reports carry a "spatial" tile grid of the
+/// estimate. When both reports carry a "spatial" tile grid of the
 /// same geometry, the per-tile cycle deltas are ranked as a second
 /// table (where in the adjacency did the cycles move).
 #pragma once
@@ -53,7 +53,7 @@ struct RunSnapshot {
   double sim_wall_ms = 0.0;  ///< host wall-clock of the simulation
   double skipped_cycles = 0.0;  ///< fast-forwarded cycles
   std::vector<PhaseBreakdown> phases;  ///< per-phase stall breakdowns
-  TileGrid tiles;  ///< spatial grid (since /6); empty otherwise
+  TileGrid tiles;  ///< spatial grid when recorded; empty otherwise
 };
 
 /// A parsed + normalized report. `kind` is "run-report" or "bench";

@@ -101,11 +101,13 @@ TEST(DiffNormalize, Bench1FallsBackToTotalPhase) {
 
 TEST(DiffNormalize, RunReportHybridRegionsReplaceAggregation) {
   const ReportSnapshot report = parse_snapshot(R"({
-    "schema": "hymm-run-report/5",
+    "schema": "hymm-run-report/8",
     "results": [
       {
-        "abbrev": "CR", "flow": "HyMM", "cycles": 1000,
-        "stats": { "skipped_cycles": 640 },
+        "dataset": "Cora", "abbrev": "CR", "scale": 1, "flow": "HyMM",
+        "cycles": 1000, "verified": true, "sampled": false,
+        "stats": { "skipped_cycles": 640,
+                   "stalls": { "compute": 1000 } },
         "combination": { "stalls": { "compute": 400 } },
         "aggregation": { "stalls": { "compute": 600 } },
         "regions": [
@@ -127,16 +129,17 @@ TEST(DiffNormalize, RunReportHybridRegionsReplaceAggregation) {
   EXPECT_DOUBLE_EQ(run.phases[1].cycles + run.phases[2].cycles, 600.0);
 }
 
-// A minimal hymm-run-report/6 report: one CR/HyMM run with a 2x2
+// A minimal hymm-run-report/8 report: one CR/HyMM run with a 2x2
 // spatial grid whose per-cell cycles the tests can vary.
-std::string report6_with_spatial(double cell0_cycles,
-                                 double cell3_cycles = 100.0) {
+std::string report_with_spatial(double cell0_cycles,
+                                double cell3_cycles = 100.0) {
   std::ostringstream oss;
   oss << R"({
-    "schema": "hymm-run-report/6",
+    "schema": "hymm-run-report/8",
     "results": [
       {
-        "abbrev": "CR", "flow": "HyMM", "cycles": 1000,
+        "dataset": "Cora", "abbrev": "CR", "scale": 1, "flow": "HyMM",
+        "cycles": 1000, "verified": true, "sampled": false,
         "stats": { "skipped_cycles": 0,
                    "stalls": { "compute": 1000 } },
         "combination": { "stalls": { "compute": 400 } },
@@ -144,16 +147,29 @@ std::string report6_with_spatial(double cell0_cycles,
         "spatial": {
           "nodes": 100, "tile": 50, "grid_rows": 2, "grid_cols": 2,
           "regions": {
-            "op": { "cycles": [)"
+            "op": { "nnz": [1, 0, 0, 0], "macs": [1, 0, 0, 0],
+                    "dmb_hits": [0, 0, 0, 0], "dmb_misses": [1, 0, 0, 0],
+                    "cycles": [)"
       << cell0_cycles << R"(, 0, 0, 0],
                     "dram_bytes": [64, 0, 0, 0] },
-            "rwp": { "cycles": [0, 0, 0, )"
+            "rwp": { "nnz": [0, 0, 0, 2], "macs": [0, 0, 0, 2],
+                     "dmb_hits": [0, 0, 0, 0], "dmb_misses": [0, 0, 0, 2],
+                     "cycles": [0, 0, 0, )"
       << cell3_cycles << R"(],
                      "dram_bytes": [0, 0, 0, 128] }
           },
-          "residual": { "cycles": 0, "dram_bytes": 0 },
+          "residual": { "cycles": 0, "dram_bytes": 0, "dmb_hits": 0,
+                        "dmb_misses": 0 },
           "pe": { "busy_cycles": [1, 2], "mac_ops": [1, 2],
-                  "array_busy_cycles": 3 }
+                  "array_busy_cycles": 3 },
+          "imbalance": {
+            "pe_busy": { "count": 2, "mean": 1.5, "max": 2,
+                         "max_over_mean": 1.333, "cov": 0.333,
+                         "gini": 0.167 },
+            "row_band_cycles": { "count": 2, "mean": 500, "max": 900,
+                                 "max_over_mean": 1.8, "cov": 0.8,
+                                 "gini": 0.4 }
+          }
         }
       }
     ]
@@ -161,9 +177,9 @@ std::string report6_with_spatial(double cell0_cycles,
   return oss.str();
 }
 
-TEST(DiffNormalize, RunReport6SpatialBecomesARegionSummedTileGrid) {
+TEST(DiffNormalize, RunReportSpatialBecomesARegionSummedTileGrid) {
   const ReportSnapshot report =
-      parse_snapshot(report6_with_spatial(900.0));
+      parse_snapshot(report_with_spatial(900.0));
   ASSERT_EQ(report.runs.size(), 1u);
   const TileGrid& tiles = report.runs[0].tiles;
   ASSERT_FALSE(tiles.empty());
@@ -178,11 +194,12 @@ TEST(DiffNormalize, RunReport6SpatialBecomesARegionSummedTileGrid) {
   EXPECT_DOUBLE_EQ(tiles.dram_bytes[3], 128.0);
 }
 
-TEST(DiffNormalize, RunReport5WithoutSpatialHasEmptyTiles) {
+TEST(DiffNormalize, RunReportWithoutSpatialHasEmptyTiles) {
   const ReportSnapshot report = parse_snapshot(R"({
-    "schema": "hymm-run-report/5",
+    "schema": "hymm-run-report/8",
     "results": [
-      { "abbrev": "CR", "flow": "RWP", "cycles": 500,
+      { "dataset": "Cora", "abbrev": "CR", "scale": 1, "flow": "RWP",
+        "cycles": 500, "verified": true, "sampled": false,
         "stats": { "stalls": { "compute": 500 } } }
     ]
   })");
@@ -191,9 +208,9 @@ TEST(DiffNormalize, RunReport5WithoutSpatialHasEmptyTiles) {
 }
 
 TEST(DiffReports, RanksTileDeltasWhenGeometriesMatch) {
-  const ReportSnapshot base = parse_snapshot(report6_with_spatial(900.0));
+  const ReportSnapshot base = parse_snapshot(report_with_spatial(900.0));
   const ReportSnapshot current =
-      parse_snapshot(report6_with_spatial(600.0, 400.0));
+      parse_snapshot(report_with_spatial(600.0, 400.0));
   const std::vector<RunDiff> diffs = diff_reports(base, current);
   ASSERT_EQ(diffs.size(), 1u);
   ASSERT_EQ(diffs[0].tile_rows.size(), 2u);
@@ -207,16 +224,16 @@ TEST(DiffReports, RanksTileDeltasWhenGeometriesMatch) {
 }
 
 TEST(DiffReports, SkipsTileDeltasWhenOneSideLacksSpatial) {
-  const ReportSnapshot base = parse_snapshot(report6_with_spatial(900.0));
+  const ReportSnapshot base = parse_snapshot(report_with_spatial(900.0));
   ReportSnapshot current = base;
   current.runs[0].tiles = TileGrid{};
   EXPECT_TRUE(diff_reports(current, base)[0].tile_rows.empty());
 }
 
 TEST(DiffPrint, RendersTileDeltaTable) {
-  const ReportSnapshot base = parse_snapshot(report6_with_spatial(900.0));
+  const ReportSnapshot base = parse_snapshot(report_with_spatial(900.0));
   const ReportSnapshot current =
-      parse_snapshot(report6_with_spatial(600.0, 400.0));
+      parse_snapshot(report_with_spatial(600.0, 400.0));
   std::ostringstream out;
   print_diff(diff_reports(base, current), out);
   const std::string text = out.str();
@@ -232,6 +249,13 @@ TEST(DiffNormalize, RejectsUnsupportedSchema) {
   std::string error;
   EXPECT_FALSE(normalize_report(*doc, &error).has_value());
   EXPECT_NE(error.find("hymm-bench/99"), std::string::npos);
+
+  // Run reports older than /8 have no writer left and are refused.
+  const std::optional<JsonValue> old_report =
+      json_parse(R"({ "schema": "hymm-run-report/7", "results": [] })");
+  ASSERT_TRUE(old_report.has_value());
+  EXPECT_FALSE(normalize_report(*old_report, &error).has_value());
+  EXPECT_NE(error.find("hymm-run-report/7"), std::string::npos);
 }
 
 // The acceptance criterion: inject a 30000-cycle regression into one

@@ -68,15 +68,15 @@ SampleOptions sampling_options(double fraction = 0.25,
   return options;
 }
 
-SampledLayerResult run_sampled(const Problem& p, Dataflow flow,
-                               const SampleOptions& options) {
-  SampledLayerRequest request;
+LayerRunResult run_sampled(const Problem& p, Dataflow flow,
+                           const SampleOptions& options) {
+  LayerRunRequest request;
   request.flow = flow;
   request.a_hat = &p.a_hat;
   request.x = &p.x;
   request.w = &p.w;
-  request.options = options;
-  return run_layer_sampled(AcceleratorConfig{}, request);
+  request.sample = options;
+  return Accelerator(AcceleratorConfig{}).run_layer(request);
 }
 
 TEST(SelectSampleBands, DeterministicAndWellFormed) {
@@ -156,16 +156,10 @@ TEST(SampledSimulation, CyclesWithinDocumentedBoundOfExactOnCora) {
     exact_request.sorted_features = &prepared.sorted_features();
     const LayerRunResult truth = exact.run_layer(exact_request);
 
-    SampledLayerRequest request;
-    request.flow = flow;
-    request.a_hat = &prepared.a_hat();
-    request.x = &prepared.workload().features;
-    request.w = &prepared.weights();
-    request.sort = &prepared.sort();
-    request.sorted_features = &prepared.sorted_features();
+    LayerRunRequest request = exact_request;
     // Production defaults: fraction 0.25, seed 42, adaptive floors on.
-    const SampledLayerResult sampled =
-        run_layer_sampled(AcceleratorConfig{}, request);
+    request.sample = SampleOptions{};
+    const LayerRunResult sampled = exact.run_layer(request);
     ASSERT_TRUE(sampled.sample.enabled);
     ASSERT_GT(sampled.stats.cycles, 0u);
 
@@ -186,7 +180,7 @@ class SampledFlows : public ::testing::TestWithParam<Dataflow> {};
 // cycle count (scale_stats absorbs rounding residue).
 TEST_P(SampledFlows, ExtrapolatedStatsKeepStallInvariant) {
   const Problem p = make_problem();
-  const SampledLayerResult r =
+  const LayerRunResult r =
       run_sampled(p, GetParam(), sampling_options());
   EXPECT_EQ(r.combination_stats.stall_total(), r.combination_stats.cycles);
   EXPECT_EQ(r.aggregation_stats.stall_total(), r.aggregation_stats.cycles);
@@ -199,9 +193,9 @@ TEST_P(SampledFlows, ExtrapolatedStatsKeepStallInvariant) {
 // different seed draws different bands.
 TEST_P(SampledFlows, DeterministicForFixedSeed) {
   const Problem p = make_problem();
-  const SampledLayerResult a =
+  const LayerRunResult a =
       run_sampled(p, GetParam(), sampling_options(0.25, 7));
-  const SampledLayerResult b =
+  const LayerRunResult b =
       run_sampled(p, GetParam(), sampling_options(0.25, 7));
   EXPECT_EQ(a.stats.cycles, b.stats.cycles);
   EXPECT_EQ(a.stats.stall_cycles, b.stats.stall_cycles);
@@ -214,7 +208,7 @@ TEST_P(SampledFlows, DeterministicForFixedSeed) {
 // really were subsampled.
 TEST_P(SampledFlows, EstimateAnnotationsAreConsistent) {
   const Problem p = make_problem();
-  const SampledLayerResult r =
+  const LayerRunResult r =
       run_sampled(p, GetParam(), sampling_options());
   const SampleInfo& s = r.sample;
   ASSERT_TRUE(s.enabled);
@@ -245,7 +239,7 @@ TEST_P(SampledFlows, EstimateAnnotationsAreConsistent) {
 // fraction = 1 simulates every band: full coverage, zero variance.
 TEST_P(SampledFlows, FullFractionHasFullCoverageAndZeroStderr) {
   const Problem p = make_problem();
-  const SampledLayerResult r =
+  const LayerRunResult r =
       run_sampled(p, GetParam(), sampling_options(1.0));
   const SampleInfo& s = r.sample;
   EXPECT_EQ(s.combination.bands_simulated, s.combination.bands_total);
@@ -309,7 +303,7 @@ TEST(SampledSimulation, SmallPhasesCollapseToExactSimulation) {
   const Problem p = make_problem(120, 900, 32, 0.2, 5);
   SampleOptions options;  // production defaults: min_nnz = 1 << 16
   options.fraction = 0.1;
-  const SampledLayerResult r =
+  const LayerRunResult r =
       run_sampled(p, Dataflow::kRowWiseProduct, options);
   EXPECT_EQ(r.sample.combination.nnz_simulated,
             r.sample.combination.nnz_total);
@@ -319,15 +313,32 @@ TEST(SampledSimulation, SmallPhasesCollapseToExactSimulation) {
 
 TEST(SampledSimulation, RejectsOutOfRangeFraction) {
   const Problem p = make_problem(60, 300, 16, 0.3, 3);
-  SampledLayerRequest request;
-  request.flow = Dataflow::kRowWiseProduct;
+  SampleOptions options;
+  options.fraction = 1.5;
+  EXPECT_THROW(run_sampled(p, Dataflow::kRowWiseProduct, options),
+               CheckError);
+  options.fraction = 0.0;
+  EXPECT_THROW(run_sampled(p, Dataflow::kRowWiseProduct, options),
+               CheckError);
+}
+
+// A precomputed degree sort must match the adjacency in sampled mode
+// too: a wrong-size sort is rejected before it reaches the partitioner.
+TEST(SampledSimulation, RejectsWrongSizeSort) {
+  const Problem p = make_problem(60, 300, 16, 0.3, 3);
+  const Problem other = make_problem(80, 400, 16, 0.3, 3);
+  const DegreeSortResult sort = degree_sort(other.a_hat);
+  const CsrMatrix sorted_x = permute_feature_rows(other.x, sort.perm);
+  LayerRunRequest request;
+  request.flow = Dataflow::kHybrid;
   request.a_hat = &p.a_hat;
   request.x = &p.x;
   request.w = &p.w;
-  request.options.fraction = 1.5;
-  EXPECT_THROW(run_layer_sampled(AcceleratorConfig{}, request), CheckError);
-  request.options.fraction = 0.0;
-  EXPECT_THROW(run_layer_sampled(AcceleratorConfig{}, request), CheckError);
+  request.sort = &sort;
+  request.sorted_features = &sorted_x;
+  request.sample = sampling_options();
+  const Accelerator accelerator{AcceleratorConfig{}};
+  EXPECT_THROW(accelerator.run_layer(request), CheckError);
 }
 
 INSTANTIATE_TEST_SUITE_P(AllDataflows, SampledFlows,
